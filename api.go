@@ -393,7 +393,10 @@ func SelectLandmark(g *Graph, s Strategy, seed uint64) (int, error) {
 	return core.SelectLandmark(g, s, randx.New(seed))
 }
 
-// LandmarkIndex re-exports the single-source index.
+// LandmarkIndex is one landmark column r(·, v) plus its query solver: the
+// column primitive a PortfolioIndex is made of (PortfolioIndex.Index(j)
+// returns column j's). Serving, snapshots and live epochs all go through
+// PortfolioIndex, where a single landmark is the K=1 case.
 type LandmarkIndex = core.Index
 
 // DiagMode selects how the index diagonal is built.

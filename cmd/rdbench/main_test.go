@@ -56,8 +56,8 @@ func TestRunSnapshotUtility(t *testing.T) {
 		if err := runSnapshot(snap, graphPath, "exact", 0, 7, 1, landmarkrd.PrecondJacobi, &out); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(out.String(), "checksum and graph binding OK") {
-			t.Errorf("second run did not verify:\n%s", out.String())
+		if !strings.Contains(out.String(), "k=1") || !strings.Contains(out.String(), "checksum and graph binding OK") {
+			t.Errorf("second run did not verify a K=1 portfolio:\n%s", out.String())
 		}
 	})
 

@@ -20,24 +20,29 @@
 // "degraded" with an error bound instead. At most -max-inflight queries run
 // concurrently; excess requests are rejected immediately with 429 (plus a
 // jittered Retry-After) rather than queued. Transient per-query failures
-// are retried up to -retries times with jittered backoff. -portfolio K
-// serves a K-landmark portfolio: every pair query routes to the landmark
-// with the smallest cost-law score r(s,ℓ)+r(t,ℓ) and /v1/singlesource
-// reports which landmark answered. -landmarks pins the portfolio to an
-// explicit vertex list — the shard subset a replica serves behind an
+// are retried up to -retries times with jittered backoff. With an
+// -index-mode or a -snapshot the server answers from a K-landmark
+// portfolio, K = -portfolio (0, the default, means K=1: a single landmark
+// column): every pair query routes to the landmark with the smallest
+// cost-law score r(s,ℓ)+r(t,ℓ) and /v1/singlesource reports which
+// landmark answered. With neither, pairs are served index-free from one
+// landmark and /v1/singlesource answers 501. -landmarks pins the portfolio
+// to an explicit vertex list — the shard subset a replica serves behind an
 // rdproxy coordinator. -cache N keeps the last N pair answers in a
 // singleflight-deduplicated LRU keyed on the epoch graph's fingerprint, so
 // a re-base or reload invalidates stale entries by construction. -snapshot
-// loads/saves the landmark index (or v3 portfolio) from a checksummed
-// snapshot file, and SIGHUP hot-reloads it without dropping in-flight
-// queries. Every endpoint answers a wrong HTTP method with a structured
-// 405 and an Allow header.
+// loads the portfolio from a checksummed snapshot file (v3; a retired v2
+// single-landmark file loads as K=1), or builds it and saves it as v3, and
+// SIGHUP hot-reloads it without dropping in-flight queries; a snapshot
+// whose K differs from -portfolio is refused at startup and on reload.
+// Every endpoint answers a wrong HTTP method with a structured 405 and an
+// Allow header.
 //
 // The serving state is epoch-versioned: POST /v1/update streams edge
 // insertions and deletions onto the current epoch as Sherman-Morrison
 // patches without blocking queries, every query pins the epoch it started
 // on, and a background re-base folds the patch stack into a freshly built
-// index once -max-patches accumulate (or every -rebase-interval, if set),
+// portfolio once -max-patches accumulate (or every -rebase-interval, if set),
 // publishing the result as a new epoch. A superseded epoch is retired only
 // after its last in-flight query completes. SIGHUP reloads share the same
 // epoch lifecycle. SIGINT or SIGTERM stops accepting new queries and
@@ -70,10 +75,10 @@ func main() {
 		timeoutFlag  = flag.Duration("timeout", 5*time.Second, "per-query time budget (0 disables)")
 		inflightFlag = flag.Int("max-inflight", 16, "max concurrent queries before 429")
 		workersFlag  = flag.Int("workers", 0, "batch workers per request (0 = GOMAXPROCS)")
-		indexFlag    = flag.String("index-mode", "none", "landmark index for /v1/singlesource: exact, mc, sketch, or none")
+		indexFlag    = flag.String("index-mode", "none", "portfolio column builder (enables /v1/singlesource): exact, mc, sketch, or none")
 		precondFlag  = flag.String("precond", "jacobi", "CG preconditioner for index builds and solves: none, jacobi, chol, or auto")
-		portfolioKey = flag.Int("portfolio", 0, "serve a K-landmark portfolio with cost-law routing (0 = single landmark); needs -index-mode or -snapshot")
-		snapshotFlag = flag.String("snapshot", "", "index snapshot file: load if present, else build and save; SIGHUP reloads it")
+		portfolioKey = flag.Int("portfolio", 0, "portfolio size K with cost-law routing (0 means 1, a single landmark); needs -index-mode or -snapshot")
+		snapshotFlag = flag.String("snapshot", "", "portfolio snapshot file: load if present (v3, or v2 as K=1), else build and save as v3; SIGHUP reloads it")
 		retriesFlag  = flag.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
 		degradeFlag  = flag.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")
 		maxBodyFlag  = flag.Int64("max-body", 1<<20, "max batch request body bytes")

@@ -33,8 +33,8 @@ type serverConfig struct {
 	workers      int           // batch engine workers (0 = GOMAXPROCS)
 	indexMode    string        // "exact", "mc", "sketch", or "none"
 	precond      string        // CG preconditioner: "none", "jacobi", "chol", or "auto"
-	portfolioK   int           // portfolio size; 0 serves the single-landmark paths
-	snapshot     string        // index snapshot path; load if present, else build and save
+	portfolioK   int           // portfolio size; 0 means 1 (a single landmark column)
+	snapshot     string        // portfolio snapshot path; load if present, else build and save
 	retries      int           // per-query attempt budget for transient failures (0 = 1)
 	degradeBelow time.Duration // degrade queries with less deadline than this left
 	maxBody      int64         // batch body byte cap; 0 means 1 MiB
@@ -56,8 +56,11 @@ func (c *serverConfig) validate() error {
 	if c.portfolioK < 0 {
 		return fmt.Errorf("rdserver: -portfolio must be >= 0, got %d", c.portfolioK)
 	}
-	if c.portfolioK > 0 && (c.indexMode == "" || c.indexMode == "none") && c.snapshot == "" {
-		return fmt.Errorf("rdserver: -portfolio %d needs -index-mode exact|mc|sketch (or a -snapshot to load)", c.portfolioK)
+	if _, ok := diagModes[c.indexMode]; !ok && c.indexMode != "" && c.indexMode != "none" {
+		return fmt.Errorf("rdserver: unknown -index-mode %q (want exact, mc, sketch, or none)", c.indexMode)
+	}
+	if (c.portfolioK > 0 || c.landmarks != "") && (c.indexMode == "" || c.indexMode == "none") && c.snapshot == "" {
+		return fmt.Errorf("rdserver: -portfolio and -landmarks need -index-mode exact|mc|sketch (or a -snapshot to load)")
 	}
 	if c.retries < 0 {
 		return fmt.Errorf("rdserver: -retries must be >= 0, got %d", c.retries)
@@ -205,7 +208,7 @@ func newQueryServer(g *landmarkrd.Graph, cfg serverConfig) (*queryServer, error)
 			fmt.Fprintf(os.Stderr, "rdserver: rebased onto epoch %d\n", seq)
 		},
 	}
-	if cfg.portfolioK > 0 {
+	if s.hasIndex() {
 		pf, err := s.loadOrBuildPortfolio()
 		if err != nil {
 			return nil, err
@@ -219,18 +222,9 @@ func newQueryServer(g *landmarkrd.Graph, cfg serverConfig) (*queryServer, error)
 			lo.Mode = pf.Mode // snapshot-only start: re-bases reuse its mode
 		}
 	} else {
-		idx, err := s.loadOrBuildIndex()
-		if err != nil {
-			return nil, err
-		}
-		if idx != nil {
-			lo.InitialIndex = idx
-			lo.Mode = idx.Mode
-		} else {
-			// No index configured: fresh reads fall back to full
-			// pseudo-inverse solves and /v1/singlesource answers 501.
-			lo.NoIndex = true
-		}
+		// No index configured: fresh reads fall back to full pseudo-inverse
+		// solves and /v1/singlesource answers 501.
+		lo.NoIndex = true
 	}
 	live, err := landmarkrd.NewLiveIndex(g, lo)
 	if err != nil {
@@ -256,33 +250,22 @@ func (s *queryServer) eng() *landmarkrd.BatchEngine {
 	return ep.Engine()
 }
 
-// currentIndex peeks at the current epoch's landmark index (nil without
-// one).
-func (s *queryServer) currentIndex() *landmarkrd.LandmarkIndex {
-	ep := s.live.Pin()
-	defer ep.Release()
-	return ep.Index()
-}
-
-// currentPortfolio peeks at the current epoch's portfolio (nil outside
-// portfolio mode).
+// currentPortfolio peeks at the current epoch's portfolio (nil without an
+// index).
 func (s *queryServer) currentPortfolio() *landmarkrd.PortfolioIndex {
 	ep := s.live.Pin()
 	defer ep.Release()
 	return ep.Portfolio()
 }
 
-// publishPrecond records the serving index's resolved preconditioner mode(s)
-// in /debug/vars. A snapshot-loaded index reports its own (persisted-default)
-// mode, not the flag, so the variable always reflects what is actually
-// serving.
+// publishPrecond records the serving portfolio's resolved preconditioner
+// modes in /debug/vars (one per landmark; jacobi for a snapshot-loaded
+// portfolio, which does not persist them and serves with the default), or
+// the flag value without an index, so the variable always reflects what is
+// actually serving.
 func (s *queryServer) publishPrecond() {
 	if p := s.currentPortfolio(); p != nil {
 		precondVar.Set(fmt.Sprintf("%v", p.PrecondModes))
-		return
-	}
-	if idx := s.currentIndex(); idx != nil {
-		precondVar.Set(idx.Precond.String())
 		return
 	}
 	precondVar.Set(s.cfg.precondMode().String())
@@ -325,11 +308,20 @@ var diagModes = map[string]landmarkrd.DiagMode{
 	"sketch": landmarkrd.DiagSketch,
 }
 
-// loadOrBuildPortfolio resolves the portfolio configuration with the same
-// policy as loadOrBuildIndex: a configured snapshot is loaded if present
-// (v3, or a v2 single-landmark file upgraded to K=1; corruption/mismatch
-// is a hard error), otherwise a portfolio of -portfolio landmarks is built
-// by -index-mode and saved back to the snapshot path.
+// hasIndex reports whether the server serves from a portfolio: a snapshot
+// or a column builder (-index-mode exact, mc, or sketch) is configured.
+func (s *queryServer) hasIndex() bool {
+	_, ok := diagModes[s.cfg.indexMode]
+	return ok || s.cfg.snapshot != ""
+}
+
+// loadOrBuildPortfolio resolves the portfolio configuration: a configured
+// snapshot is loaded if present (v3, or a v2 single-landmark file upgraded
+// to K=1; corruption or graph mismatch is a hard error — silently
+// rebuilding would mask operational problems — and the live index refuses
+// a K other than -portfolio), otherwise a portfolio of -portfolio
+// landmarks (0 means 1) is built by -index-mode and saved back to the
+// snapshot path so the next start is fast.
 func (s *queryServer) loadOrBuildPortfolio() (*landmarkrd.PortfolioIndex, error) {
 	if s.cfg.snapshot != "" {
 		p, err := landmarkrd.LoadPortfolioIndex(s.cfg.snapshot, s.g)
@@ -349,10 +341,11 @@ func (s *queryServer) loadOrBuildPortfolio() (*landmarkrd.PortfolioIndex, error)
 	}
 	mode, ok := diagModes[s.cfg.indexMode]
 	if !ok {
-		return nil, fmt.Errorf("rdserver: -portfolio needs -index-mode exact, mc, or sketch (got %q)", s.cfg.indexMode)
+		return nil, fmt.Errorf("rdserver: -snapshot %s does not exist; set -index-mode exact, mc, or sketch to build it (got %q)", s.cfg.snapshot, s.cfg.indexMode)
 	}
 	p, err := landmarkrd.BuildPortfolioIndex(s.g, landmarkrd.PortfolioBuildOptions{
-		K: s.cfg.portfolioK, Landmarks: s.landmarks, Mode: mode, Seed: s.cfg.seed,
+		K:         landmarkrd.ServingPortfolioK(s.cfg.portfolioK),
+		Landmarks: s.landmarks, Mode: mode, Seed: s.cfg.seed,
 		Metrics: s.metrics, Precond: s.cfg.precondMode(),
 	})
 	if err != nil {
@@ -391,91 +384,25 @@ func (s *queryServer) checkShardLandmarks(got []int) error {
 	return fmt.Errorf("rdserver: snapshot landmarks %v do not match -landmarks %v", got, s.landmarks)
 }
 
-// loadOrBuildIndex resolves the index configuration: load the snapshot if
-// one is configured and present (any snapshot corruption/mismatch is a hard
-// error — silently rebuilding would mask operational problems), otherwise
-// build by -index-mode, saving the result back to the snapshot path so the
-// next start is fast. Returns nil with -index-mode none and no snapshot.
-func (s *queryServer) loadOrBuildIndex() (*landmarkrd.LandmarkIndex, error) {
-	if s.cfg.snapshot != "" {
-		idx, err := landmarkrd.LoadLandmarkIndex(s.cfg.snapshot, s.g)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "rdserver: loaded index snapshot %s (landmark %d, mode %s)\n",
-				s.cfg.snapshot, idx.Landmark, idx.Mode)
-			return idx, nil
-		case errors.Is(err, os.ErrNotExist):
-			// Fall through to a fresh build (and save below).
-		default:
-			return nil, fmt.Errorf("rdserver: index snapshot %s: %w", s.cfg.snapshot, err)
-		}
-	}
-	mode, ok := diagModes[s.cfg.indexMode]
-	if !ok {
-		if s.cfg.indexMode == "" || s.cfg.indexMode == "none" {
-			if s.cfg.snapshot != "" {
-				return nil, fmt.Errorf("rdserver: -snapshot %s does not exist and -index-mode is none; set an index mode to build it", s.cfg.snapshot)
-			}
-			// /v1/singlesource answers 501 until an index mode is configured.
-			return nil, nil
-		}
-		return nil, fmt.Errorf("rdserver: unknown -index-mode %q (want exact, mc, sketch, or none)", s.cfg.indexMode)
-	}
-	var strat landmarkrd.Strategy // zero value matches the engine default
-	landmark, err := landmarkrd.SelectLandmark(s.g, strat, s.cfg.seed)
-	if err != nil {
-		return nil, fmt.Errorf("rdserver: selecting landmark: %w", err)
-	}
-	idx, err := landmarkrd.BuildLandmarkIndexOpts(s.g, landmark, landmarkrd.IndexBuildOptions{
-		Mode: mode, Seed: s.cfg.seed, Metrics: s.metrics, Precond: s.cfg.precondMode(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("rdserver: building %s index: %w", s.cfg.indexMode, err)
-	}
-	fmt.Fprintf(os.Stderr, "rdserver: built %s index (landmark %d, precond %s)\n",
-		s.cfg.indexMode, idx.Landmark, idx.Precond)
-	if s.cfg.snapshot != "" {
-		if err := landmarkrd.SaveLandmarkIndex(idx, s.cfg.snapshot); err != nil {
-			return nil, fmt.Errorf("rdserver: saving index snapshot: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "rdserver: saved index snapshot to %s\n", s.cfg.snapshot)
-	}
-	return idx, nil
-}
-
 // reload re-resolves the serving state and publishes it as a new epoch:
-// with a snapshot or index mode configured the re-read/rebuilt index (or
-// portfolio, with a fresh engine routing through it) is published and any
-// pending live patches are dropped — the snapshot is authoritative;
-// without one, reload folds the pending patch stack through a re-base.
-// In-flight queries keep the epoch they pinned at request start and drain
-// on the old state. On failure the old epoch stays current and the server
-// returns to ready.
+// with a snapshot or index mode configured the re-read/rebuilt portfolio
+// (with a fresh engine routing through it) is published and any pending
+// live patches are dropped — the snapshot is authoritative; without one,
+// reload folds the pending patch stack through a re-base rather than
+// reverting to the base graph. In-flight queries keep the epoch they
+// pinned at request start and drain on the old state. On failure the old
+// epoch stays current and the server returns to ready.
 func (s *queryServer) reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	s.ready.Store(false)
-	_, hasMode := diagModes[s.cfg.indexMode]
 	var err error
-	switch {
-	case s.cfg.portfolioK > 0:
+	if s.hasIndex() {
 		var pf *landmarkrd.PortfolioIndex
-		pf, err = s.loadOrBuildPortfolio()
-		if err == nil && pf != nil {
+		if pf, err = s.loadOrBuildPortfolio(); err == nil {
 			_, err = s.live.PublishPortfolio(pf)
 		}
-	case s.cfg.snapshot != "" || hasMode:
-		var idx *landmarkrd.LandmarkIndex
-		idx, err = s.loadOrBuildIndex()
-		if err == nil && idx != nil {
-			_, err = s.live.PublishIndex(idx)
-		} else if err == nil {
-			// No index configured: a reload still folds pending patches.
-			_, err = s.live.Rebase(context.Background())
-		}
-	default:
-		// No snapshot and no index mode: reload folds the pending patch
-		// stack into a fresh epoch rather than reverting to the base graph.
+	} else {
 		_, err = s.live.Rebase(context.Background())
 	}
 	if err == nil {
@@ -879,9 +806,8 @@ func (s *queryServer) handleSingleSource(w http.ResponseWriter, r *http.Request)
 	// with.
 	ep := s.live.Pin()
 	defer ep.Release()
-	idx := ep.Index()
 	pf := ep.Portfolio()
-	if idx == nil && pf == nil {
+	if pf == nil {
 		s.writeError(w, http.StatusNotImplemented, "no_index",
 			"no landmark index configured (start with -index-mode exact|mc|sketch)")
 		return
@@ -896,16 +822,9 @@ func (s *queryServer) handleSingleSource(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	start := time.Now()
-	var values []float64
-	landmark := 0
-	if pf != nil {
-		// Portfolio mode: route to the cheapest landmark for this source and
-		// report which one served the query.
-		values, landmark, err = landmarkrd.PortfolioSingleSourceContext(r.Context(), pf, src)
-	} else {
-		landmark = idx.Landmark
-		values, err = landmarkrd.SingleSourceContext(r.Context(), idx, src)
-	}
+	// Route to the cheapest landmark for this source and report which one
+	// served the query.
+	values, landmark, err := landmarkrd.PortfolioSingleSourceContext(r.Context(), pf, src)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -594,9 +594,10 @@ func TestDegradedUnderPressure(t *testing.T) {
 	}
 }
 
-// TestSnapshotStartup: a server with -snapshot writes the index on first
-// start and a second server loads it instead of rebuilding, producing
-// identical single-source answers.
+// TestSnapshotStartup: a server with -snapshot writes its single-landmark
+// index (a K=1 portfolio) on first start and a second server loads it
+// instead of rebuilding, producing identical single-source answers. A
+// snapshot in the retired v2 format loads too, as K=1.
 func TestSnapshotStartup(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.snap")
 	cfg := serverConfig{indexMode: "exact", snapshot: path, timeout: 30 * time.Second}
@@ -614,11 +615,16 @@ func TestSnapshotStartup(t *testing.T) {
 	if second.eng().Stats().IndexBuilds != 0 {
 		t.Error("second server rebuilt the index instead of loading the snapshot")
 	}
-	a, err := landmarkrd.SingleSource(first.currentIndex(), 3)
+	// A loaded snapshot does not persist its preconditioner; the column
+	// serves with the Jacobi default, and the expvar must say so.
+	if got := precondVar.Value(); got != "[jacobi]" {
+		t.Errorf("landmarkrd.precond after a v3 snapshot load = %q, want [jacobi]", got)
+	}
+	a, _, err := landmarkrd.PortfolioSingleSource(first.currentPortfolio(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := landmarkrd.SingleSource(second.currentIndex(), 3)
+	b, _, err := landmarkrd.PortfolioSingleSource(second.currentPortfolio(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,6 +632,50 @@ func TestSnapshotStartup(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("snapshot-loaded index diverged at vertex %d: %g vs %g", i, b[i], a[i])
 		}
+	}
+
+	v2 := newTestServer(t, serverConfig{snapshot: "../../testdata/snapshots/grid_14x14_exact_seed1.v2.snap"})
+	if pf := v2.currentPortfolio(); pf == nil || pf.K() != 1 || pf.Primary() != 4 {
+		t.Fatalf("v2 snapshot server portfolio = %v, want K=1 on landmark 4", pf)
+	}
+	if got := precondVar.Value(); got != "[jacobi]" {
+		t.Errorf("landmarkrd.precond after a v2 snapshot load = %q, want [jacobi]", got)
+	}
+}
+
+// TestSnapshotPortfolioKMismatch: a snapshot whose K differs from
+// -portfolio (0 means 1) is rejected at startup, and on reload, where the
+// old epoch keeps serving. Serving it would let the next re-base silently
+// rebuild at the configured K with re-selected landmarks.
+func TestSnapshotPortfolioKMismatch(t *testing.T) {
+	dir := t.TempDir()
+	k3 := filepath.Join(dir, "k3.snap")
+	newTestServer(t, serverConfig{indexMode: "exact", portfolioK: 3, snapshot: k3, timeout: 30 * time.Second})
+	for _, k := range []int{0, 2} {
+		cfg := serverConfig{method: landmarkrd.BiPush, seed: 7, indexMode: "exact", portfolioK: k, snapshot: k3}
+		if _, err := newQueryServer(loadTestGraph(t), cfg); err == nil {
+			t.Errorf("-portfolio %d started on a k=3 snapshot", k)
+		}
+	}
+
+	k2 := filepath.Join(dir, "k2.snap")
+	srv := newTestServer(t, serverConfig{indexMode: "exact", portfolioK: 2, snapshot: k2, timeout: 30 * time.Second})
+	old := srv.currentPortfolio()
+	raw, err := os.ReadFile(k3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(k2, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.reload(); err == nil {
+		t.Error("reload adopted a k=3 snapshot under -portfolio 2")
+	}
+	if srv.currentPortfolio() != old {
+		t.Error("failed reload swapped the portfolio")
+	}
+	if !srv.ready.Load() {
+		t.Error("server not ready after failed reload")
 	}
 }
 
@@ -713,7 +763,7 @@ func TestSighupReloadUnderLoad(t *testing.T) {
 func TestReloadFailureKeepsServing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.snap")
 	srv := newTestServer(t, serverConfig{indexMode: "exact", snapshot: path, timeout: 30 * time.Second})
-	old := srv.currentIndex()
+	old := srv.currentPortfolio()
 	if old == nil {
 		t.Fatal("no index after construction")
 	}
@@ -724,7 +774,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if err := srv.reload(); err == nil {
 		t.Fatal("reload of a corrupt snapshot succeeded")
 	}
-	if srv.currentIndex() != old {
+	if srv.currentPortfolio() != old {
 		t.Error("failed reload swapped the index")
 	}
 	if !srv.ready.Load() {
@@ -755,6 +805,7 @@ func TestStartupValidation(t *testing.T) {
 		{degradeBelow: -time.Millisecond},
 		{maxBody: -5},
 		{timeout: time.Second, degradeBelow: 2 * time.Second},
+		{indexMode: "bogus"},
 	}
 	for i, cfg := range bad {
 		cfg.method = landmarkrd.BiPush
@@ -880,13 +931,16 @@ func TestPortfolioSnapshotStartup(t *testing.T) {
 	}
 }
 
-// TestPortfolioStartupValidation: -portfolio with neither an index mode nor
-// a snapshot cannot build columns and must fail fast.
+// TestPortfolioStartupValidation: -portfolio or -landmarks with neither an
+// index mode nor a snapshot cannot build columns and must fail fast.
 func TestPortfolioStartupValidation(t *testing.T) {
 	if _, err := newQueryServer(loadTestGraph(t), serverConfig{portfolioK: 3}); err == nil {
 		t.Error("-portfolio without -index-mode or -snapshot accepted")
 	}
 	if _, err := newQueryServer(loadTestGraph(t), serverConfig{portfolioK: -1, indexMode: "exact"}); err == nil {
 		t.Error("negative -portfolio accepted")
+	}
+	if _, err := newQueryServer(loadTestGraph(t), serverConfig{landmarks: "5,60"}); err == nil {
+		t.Error("-landmarks without -index-mode or -snapshot accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"landmarkrd/internal/cancel"
-	"landmarkrd/internal/core"
 	"landmarkrd/internal/lap"
 )
 
@@ -50,11 +49,4 @@ func (e *Estimator) PairContext(ctx context.Context, s, t int) (Estimate, error)
 	default:
 		return e.bipush.PairContext(ctx, s, t)
 	}
-}
-
-// SingleSourceContext is SingleSource with cancellation: the grounded
-// column solve aborts once ctx is done, returning an error matching
-// ErrCanceled.
-func SingleSourceContext(ctx context.Context, idx *LandmarkIndex, s int) ([]float64, error) {
-	return idx.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
 }

@@ -186,44 +186,71 @@ func BuildIndex(g *graph.Graph, landmark int, opts IndexOptions, rng *randx.RNG)
 		return nil, err
 	}
 	start := time.Now()
-	n := g.N()
-	idx := &Index{G: g, Landmark: landmark, Diag: make([]float64, n), Mode: opts.Mode}
+	workers := indexWorkers(opts, g.N())
+	sk, err := buildSketch(g, opts, workers, rng)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := buildColumn(g, landmark, opts, workers, sk, rng)
+	if err != nil {
+		return nil, err
+	}
+	idx.BuildTime = time.Since(start)
+	if opts.Metrics != nil {
+		opts.Metrics.IndexBuilds.Inc()
+		opts.Metrics.IndexBuildTime.Observe(idx.BuildTime.Nanoseconds())
+	}
+	return idx, nil
+}
+
+// buildSketch builds the resistance sketch a DiagSketch build reads its
+// columns off; the other modes need none and get nil. One sketch serves
+// every landmark of a portfolio.
+func buildSketch(g *graph.Graph, opts IndexOptions, workers int, rng *randx.RNG) (*sketch.Sketch, error) {
+	if opts.Mode != DiagSketch {
+		return nil, nil
+	}
+	if rng == nil {
+		return nil, fmt.Errorf("core: DiagSketch index build requires an RNG")
+	}
+	eps := opts.SketchEpsilon
+	if eps <= 0 {
+		eps = 0.3
+	}
+	sk, err := sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
+	if err != nil {
+		return nil, fmt.Errorf("core: index sketch: %w", err)
+	}
+	return sk, nil
+}
+
+// buildColumn builds the index of one landmark, the single column builder
+// behind BuildIndex and BuildPortfolio: it resolves the preconditioner,
+// then fills Diag with grounded CG solves (DiagExactCG), absorbed walks
+// drawing from rng (DiagMC), or extraction from the prebuilt sketch sk
+// (DiagSketch).
+func buildColumn(g *graph.Graph, landmark int, opts IndexOptions, workers int, sk *sketch.Sketch, rng *randx.RNG) (*Index, error) {
+	idx := &Index{G: g, Landmark: landmark, Diag: make([]float64, g.N()), Mode: opts.Mode}
 	pc, resolved, err := resolvePrecond(g, landmark, opts.Precond, opts.PrecondSeed, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	idx.Precond = resolved
 	idx.precond = pc
-	workers := indexWorkers(opts, n)
 	switch opts.Mode {
 	case DiagExactCG:
-		if err := buildDiagExact(g, landmark, idx.Diag, opts, workers, pc); err != nil {
-			return nil, err
-		}
+		err = buildDiagExact(g, landmark, idx.Diag, opts, workers, pc)
 	case DiagMC:
-		if err := buildDiagMC(g, landmark, idx.Diag, opts, workers, rng); err != nil {
-			return nil, err
-		}
+		err = buildDiagMC(g, landmark, idx.Diag, opts, workers, rng)
 	case DiagSketch:
-		eps := opts.SketchEpsilon
-		if eps <= 0 {
-			eps = 0.3
+		if err = sk.ResistancesInto(idx.Diag, landmark); err == nil {
+			idx.Diag[landmark] = 0
 		}
-		sk, err := sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: index sketch: %w", err)
-		}
-		if err := sk.ResistancesInto(idx.Diag, landmark); err != nil {
-			return nil, err
-		}
-		idx.Diag[landmark] = 0
 	default:
-		return nil, fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
+		err = fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
 	}
-	idx.BuildTime = time.Since(start)
-	if opts.Metrics != nil {
-		opts.Metrics.IndexBuilds.Inc()
-		opts.Metrics.IndexBuildTime.Observe(idx.BuildTime.Nanoseconds())
+	if err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

@@ -1,22 +1,20 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc64"
 	"io"
-	"os"
 
 	"landmarkrd/internal/graph"
 )
 
-// Index persistence: a versioned, checksummed binary format so an expensive
-// diag build (DiagMC on a poor expander, DiagExactCG anywhere) can be reused
-// across processes and hot-reloaded into a running server. Layout (little
-// endian):
+// Snapshot persistence. Snapshots are written in the v3 portfolio format
+// (persist_portfolio.go); a single-landmark index is a K=1 portfolio. The
+// retired v2 single-landmark format stays readable so existing snapshot
+// files keep loading, as K=1 portfolios. Its layout (little endian):
 //
 //	magic       [8]byte  "LRDIDX2\n"
 //	version     uint32   (2)
@@ -28,10 +26,11 @@ import (
 //	diag        n × float64
 //	crc         uint64   CRC-64/ECMA over every preceding byte
 //
-// The fingerprint pins the snapshot to the exact graph it was built from —
-// loading against a different graph of the same size is rejected rather
-// than silently producing wrong resistances — and the trailing CRC detects
-// corruption and truncation anywhere in the stream.
+// Both formats carry the graph fingerprint, which pins a snapshot to the
+// exact graph it was built from — loading against a different graph of the
+// same size is rejected rather than silently producing wrong resistances —
+// and a trailing CRC that detects corruption and truncation anywhere in the
+// stream.
 
 var indexMagic = [8]byte{'L', 'R', 'D', 'I', 'D', 'X', '2', '\n'}
 
@@ -39,11 +38,11 @@ var indexMagic = [8]byte{'L', 'R', 'D', 'I', 'D', 'X', '2', '\n'}
 // recognized only to produce a version error instead of a corruption error.
 var indexMagicV1 = [8]byte{'L', 'R', 'D', 'I', 'D', 'X', '1', '\n'}
 
-// indexVersion is the current snapshot format version.
+// indexVersion is the version field of a v2 snapshot.
 const indexVersion uint32 = 2
 
-// Typed snapshot rejection errors. ReadIndex wraps them with detail; match
-// with errors.Is.
+// Typed snapshot rejection errors. ReadPortfolio wraps them with detail;
+// match with errors.Is.
 var (
 	// ErrSnapshotCorrupt marks a stream that is not an index snapshot or is
 	// structurally broken (bad magic, truncation, nonsense header fields).
@@ -62,64 +61,6 @@ var (
 // crcTable is the CRC-64/ECMA table the snapshot trailer uses.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// WriteTo serializes the index in the v2 snapshot format. It implements
-// io.WriterTo.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	sum := crc64.New(crcTable)
-	// Everything except the trailer goes through the checksum.
-	body := io.MultiWriter(bw, sum)
-	var written int64
-	write := func(v any) error {
-		if err := binary.Write(body, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		written += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(indexMagic); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	if err := write(indexVersion); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	if err := write(uint32(0)); err != nil { // flags
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	for _, v := range []int64{int64(idx.Landmark), int64(idx.Mode), int64(len(idx.Diag))} {
-		if err := write(v); err != nil {
-			return written, fmt.Errorf("core: writing index: %w", err)
-		}
-	}
-	if err := write(idx.G.Fingerprint()); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	if err := write(idx.Diag); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, sum.Sum64()); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	written += 8
-	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("core: writing index: %w", err)
-	}
-	return written, nil
-}
-
-// SaveIndex writes the index to a file.
-func SaveIndex(idx *Index, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	if _, err := idx.WriteTo(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // checksumReader hashes every byte it hands out so the reader can verify
 // the trailer CRC after consuming the body.
 type checksumReader struct {
@@ -133,28 +74,6 @@ func (c *checksumReader) Read(p []byte) (int, error) {
 		c.sum.Write(p[:n])
 	}
 	return n, err
-}
-
-// ReadIndex deserializes a v2 snapshot and binds it to g, validating the
-// stored dimensions, the graph fingerprint, and the trailing checksum.
-// Rejections carry a typed cause: ErrSnapshotCorrupt, ErrSnapshotVersion,
-// ErrSnapshotChecksum, or ErrSnapshotMismatch.
-func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	cr := &checksumReader{r: bufio.NewReader(r), sum: crc64.New(crcTable)}
-	var magic [8]byte
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrSnapshotCorrupt, err)
-	}
-	if magic == indexMagicV1 {
-		return nil, fmt.Errorf("%w: v1 snapshot (rebuild the index to upgrade)", ErrSnapshotVersion)
-	}
-	if magic == portfolioMagic {
-		return nil, fmt.Errorf("%w: v3 portfolio snapshot (load with ReadPortfolio)", ErrSnapshotVersion)
-	}
-	if magic != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, magic[:])
-	}
-	return readIndexV2Body(cr, g)
 }
 
 // readIndexV2Body parses a v2 snapshot after the magic has been consumed.
@@ -206,14 +125,4 @@ func readIndexV2Body(cr *checksumReader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: stored %#x, computed %#x", ErrSnapshotChecksum, got, want)
 	}
 	return &Index{G: g, Landmark: int(landmark), Diag: diag, Mode: DiagMode(mode)}, nil
-}
-
-// LoadIndex reads an index file and binds it to g.
-func LoadIndex(path string, g *graph.Graph) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	return ReadIndex(f, g)
 }

@@ -11,9 +11,9 @@ import (
 	"landmarkrd/internal/graph"
 )
 
-// Portfolio persistence: the v3 snapshot format generalizes v2 to K
-// landmark columns so rdserver can load and hot-reload portfolios the same
-// way it serves single-landmark snapshots. Layout (little endian):
+// Portfolio persistence: the v3 snapshot format, the only one written. It
+// generalizes the retired v2 layout to K landmark columns; a single-landmark
+// index is saved as K=1. Layout (little endian):
 //
 //	magic       [8]byte  "LRDIDX3\n"
 //	version     uint32   (3)
@@ -27,9 +27,8 @@ import (
 //	crc         uint64   CRC-64/ECMA over every preceding byte
 //
 // v2 single-landmark snapshots stay readable: ReadPortfolio recognizes the
-// v2 magic and upgrades the stream to a K=1 portfolio in memory, so a
-// server flipped to portfolio mode serves existing snapshot files
-// unchanged.
+// v2 magic and upgrades the stream to a K=1 portfolio in memory, so
+// existing snapshot files keep serving unchanged.
 
 var portfolioMagic = [8]byte{'L', 'R', 'D', 'I', 'D', 'X', '3', '\n'}
 
@@ -104,9 +103,9 @@ func SavePortfolio(p *Portfolio, path string) error {
 	return f.Close()
 }
 
-// ReadPortfolio deserializes a portfolio snapshot and binds it to g, with
-// the same validation as ReadIndex (dimensions, fingerprint, trailing
-// CRC). A v2 single-landmark snapshot is accepted and upgraded to a K=1
+// ReadPortfolio deserializes a portfolio snapshot and binds it to g,
+// validating the stored dimensions, the graph fingerprint, and the trailing
+// CRC. A v2 single-landmark snapshot is accepted and upgraded to a K=1
 // portfolio, so pre-portfolio snapshot files keep working. Rejections
 // carry the typed ErrSnapshot* causes.
 func ReadPortfolio(r io.Reader, g *graph.Graph) (*Portfolio, error) {

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"landmarkrd/internal/graph"
-	"landmarkrd/internal/linalg"
 	"landmarkrd/internal/obs"
 	"landmarkrd/internal/randx"
-	"landmarkrd/internal/sketch"
 	"landmarkrd/internal/walk"
 )
 
@@ -42,8 +40,8 @@ type Portfolio struct {
 	// entry covers only that column's extraction.
 	ColBuildTimes []time.Duration
 	// PrecondModes[j] is the resolved preconditioner mode of landmark j
-	// (PrecondAuto replaced by its pick). Empty for loaded snapshots, which
-	// default to Jacobi.
+	// (PrecondAuto replaced by its pick). Loaded snapshots do not persist
+	// it and report PrecondJacobi, the default they serve with.
 	PrecondModes []PrecondMode
 
 	indices   []*Index
@@ -81,8 +79,8 @@ type PortfolioOptions struct {
 	// column draws from its own random stream derived from the root seed.
 	Workers int
 	// Metrics, when non-nil, receives one IndexBuilds increment, the total
-	// build wall time (IndexBuildTime), and one ColumnBuildTime observation
-	// per landmark column.
+	// build wall time (IndexBuildTime), one ColumnBuildTime observation per
+	// landmark column, and — for DiagMC — the columns' walk work counters.
 	Metrics *obs.Metrics
 }
 
@@ -265,80 +263,50 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 		seen[v] = true
 	}
 	start := time.Now()
-	n := g.N()
-	k := len(landmarks)
-	cols := make([][]float64, k)
-	times := make([]time.Duration, k)
 	iopts := IndexOptions{
 		Mode:           opts.Mode,
 		WalksPerVertex: opts.WalksPerVertex,
 		MaxSteps:       opts.MaxSteps,
+		SketchEpsilon:  opts.SketchEpsilon,
 		Tol:            opts.Tol,
+		Precond:        opts.Precond,
 		Workers:        opts.Workers,
+		Metrics:        opts.Metrics,
 	}
-	workers := indexWorkers(iopts, n)
+	workers := indexWorkers(iopts, g.N())
 	// Root seed for the per-column streams; drawn once so the portfolio is
 	// reproducible from (graph, landmarks, seed) alone.
 	var root uint64
 	if rng != nil {
 		root = rng.Uint64()
 	}
-	var sk *sketch.Sketch
-	if opts.Mode == DiagSketch {
-		eps := opts.SketchEpsilon
-		if eps <= 0 {
-			eps = 0.3
-		}
-		if rng == nil {
-			return nil, fmt.Errorf("core: DiagSketch portfolio build requires an RNG")
-		}
-		var err error
-		sk, err = sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: portfolio sketch: %w", err)
-		}
+	sk, err := buildSketch(g, iopts, workers, rng)
+	if err != nil {
+		return nil, err
 	}
-	precs := make([]linalg.Preconditioner, k)
-	modes := make([]PrecondMode, k)
+	k := len(landmarks)
+	p := &Portfolio{
+		G: g, Mode: opts.Mode, Landmarks: landmarks,
+		Cols:          make([][]float64, k),
+		ColBuildTimes: make([]time.Duration, k),
+		PrecondModes:  make([]PrecondMode, k),
+		indices:       make([]*Index, k),
+		routed:        make([]obs.Counter, k),
+	}
 	for j, v := range landmarks {
 		colStart := time.Now()
-		cols[j] = make([]float64, n)
-		pc, resolved, err := resolvePrecond(g, v, opts.Precond, opts.PrecondSeed+uint64(j)*0x9e3779b97f4a7c15, opts.Metrics)
+		iopts.PrecondSeed = opts.PrecondSeed + uint64(j)*0x9e3779b97f4a7c15
+		idx, err := buildColumn(g, v, iopts, workers, sk, randx.New(root+uint64(j+1)*0x9e3779b97f4a7c15))
 		if err != nil {
 			return nil, err
 		}
-		precs[j], modes[j] = pc, resolved
-		switch opts.Mode {
-		case DiagExactCG:
-			if err := buildDiagExact(g, v, cols[j], iopts, workers, pc); err != nil {
-				return nil, err
-			}
-		case DiagMC:
-			colRNG := randx.New(root + uint64(j+1)*0x9e3779b97f4a7c15)
-			if err := buildDiagMC(g, v, cols[j], iopts, workers, colRNG); err != nil {
-				return nil, err
-			}
-		case DiagSketch:
-			if err := sk.ResistancesInto(cols[j], v); err != nil {
-				return nil, err
-			}
-			cols[j][v] = 0
-		default:
-			return nil, fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
-		}
-		times[j] = time.Since(colStart)
+		p.indices[j], p.Cols[j], p.PrecondModes[j] = idx, idx.Diag, idx.Precond
+		p.ColBuildTimes[j] = time.Since(colStart)
 		if opts.Metrics != nil {
-			opts.Metrics.ColumnBuildTime.Observe(times[j].Nanoseconds())
+			opts.Metrics.ColumnBuildTime.Observe(p.ColBuildTimes[j].Nanoseconds())
 		}
 	}
-	p := NewPortfolio(g, opts.Mode, landmarks, cols)
 	p.BuildTime = time.Since(start)
-	p.ColBuildTimes = times
-	p.PrecondModes = modes
-	for j := range p.indices {
-		p.indices[j].Precond = modes[j]
-		p.indices[j].precond = precs[j]
-	}
 	if opts.Metrics != nil {
 		opts.Metrics.IndexBuilds.Inc()
 		opts.Metrics.IndexBuildTime.Observe(p.BuildTime.Nanoseconds())
@@ -349,8 +317,11 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 // NewPortfolio assembles a portfolio from already-built columns (the
 // snapshot loader and the v2→portfolio upgrade path use it). The columns
 // are aliased, not copied, and back the per-landmark indices directly.
+// Snapshots do not persist preconditioner modes, so every column reports
+// PrecondJacobi, the mode its query-time solves use.
 func NewPortfolio(g *graph.Graph, mode DiagMode, landmarks []int, cols [][]float64) *Portfolio {
-	p := &Portfolio{G: g, Mode: mode, Landmarks: landmarks, Cols: cols}
+	p := &Portfolio{G: g, Mode: mode, Landmarks: landmarks, Cols: cols,
+		PrecondModes: make([]PrecondMode, len(landmarks))} // zero value: PrecondJacobi
 	p.indices = make([]*Index, len(landmarks))
 	for j, v := range landmarks {
 		p.indices[j] = &Index{G: g, Landmark: v, Diag: cols[j], Mode: mode}

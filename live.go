@@ -52,35 +52,40 @@ type GraphUpdate struct {
 }
 
 // LiveOptions configures NewLiveIndex. The zero value serves MethodAbsorbedWalk
-// queries from a single auto-selected landmark index with default rebase
-// thresholds.
+// queries from a K=1 portfolio (one auto-selected landmark column) with
+// default rebase thresholds.
 type LiveOptions struct {
 	// Method is the estimation method batch queries use (see Method).
 	Method Method
 	// Batch configures the per-epoch batch engine. Portfolio and
 	// PinLandmark must be left unset — the live index manages the serving
-	// index itself (via PortfolioK / InitialIndex / InitialPortfolio) and
-	// rejects options that would fight it.
+	// portfolio itself (via PortfolioK / InitialPortfolio) and rejects
+	// options that would fight it.
 	Batch BatchOptions
-	// PortfolioK, when > 0, serves each epoch from a K-landmark portfolio
-	// instead of a single-landmark index.
+	// PortfolioK is the size of the K-landmark portfolio each epoch serves
+	// from, resolved by ServingPortfolioK (0 means 1: a single landmark
+	// column). Every portfolio the live index adopts — InitialPortfolio or
+	// a PublishPortfolio snapshot — must have exactly this K, so a re-base
+	// never silently rebuilds at a different size.
 	PortfolioK int
 	// Landmarks pins the portfolio landmark set explicitly (requires
-	// PortfolioK > 0; overrides K/Strategy selection). Re-bases rebuild on
-	// the same vertices, so a replica serving a shard subset keeps its shard
-	// across epoch publications.
+	// PortfolioK == len(Landmarks); overrides Strategy selection). Re-bases
+	// rebuild on the same vertices, so a replica serving a shard subset
+	// keeps its shard across epoch publications.
 	Landmarks []int
-	// NoIndex skips the per-epoch diagonal index build; fresh (patch-aware)
-	// queries fall back to full Sherman-Morrison pseudo-inverse solves.
-	// Single-source queries are unavailable in this mode.
+	// NoIndex serves without a portfolio: no per-epoch column build, pair
+	// queries run on the engine's strategy-selected landmark, fresh
+	// (patch-aware) queries fall back to full Sherman-Morrison
+	// pseudo-inverse solves, and single-source queries are unavailable.
+	// PortfolioK, Landmarks and InitialPortfolio must be left unset.
 	NoIndex bool
-	// Mode selects the diagonal build for per-epoch indexes (default
+	// Mode selects the column builder of per-epoch portfolios (default
 	// DiagExactCG).
 	Mode DiagMode
-	// Precond selects the CG preconditioner for index builds and patch
+	// Precond selects the CG preconditioner for column builds and patch
 	// solves (default PrecondJacobi).
 	Precond PrecondMode
-	// IndexWorkers shards per-epoch index builds (default GOMAXPROCS).
+	// IndexWorkers shards per-epoch column builds (default GOMAXPROCS).
 	IndexWorkers int
 	// MaxPatches triggers a background re-base once the patch stack
 	// reaches this depth (default 64; negative disables the count
@@ -105,24 +110,20 @@ type LiveOptions struct {
 	// OnRebase, when non-nil, runs after every auto-triggered background
 	// re-base with the then-current epoch and the re-base error, if any.
 	OnRebase func(seq uint64, err error)
-	// InitialIndex seeds the first epoch with a prebuilt (e.g. snapshot-
-	// loaded) index instead of building one. Must be built on the same
-	// graph; requires PortfolioK == 0.
-	InitialIndex *LandmarkIndex
-	// InitialPortfolio seeds the first epoch with a prebuilt portfolio.
-	// Must be built on the same graph; requires PortfolioK > 0.
+	// InitialPortfolio seeds the first epoch with a prebuilt (e.g.
+	// snapshot-loaded) portfolio instead of building one. Must be built on
+	// the same graph with PortfolioK landmarks.
 	InitialPortfolio *PortfolioIndex
 }
 
 // liveState is the consistent serving state one epoch governs: the
-// materialized graph, the batch engine and index/portfolio built on it, and
-// the Sherman-Morrison patch stack of mutations streamed since.
+// materialized graph, the batch engine and portfolio built on it, and the
+// Sherman-Morrison patch stack of mutations streamed since.
 type liveState struct {
 	g       *Graph
 	engine  *BatchEngine
-	idx     *LandmarkIndex
-	pf      *PortfolioIndex
-	patched *dynamic.PatchedIndex // fresh-read path when an index exists
+	pf      *PortfolioIndex       // nil in NoIndex mode
+	patched *dynamic.PatchedIndex // fresh-read path when a portfolio exists
 	upd     *dynamic.Updater      // fresh-read path in NoIndex mode
 }
 
@@ -152,7 +153,7 @@ func (st *liveState) patchCount() int {
 
 // LiveIndex serves resistance queries over a graph that mutates while
 // queries run. Queries pin a consistent epoch (Pin) — a materialized graph
-// plus the index built on it — and never block; streamed mutations
+// plus the portfolio built on it — and never block; streamed mutations
 // (ApplyUpdate) append Sherman-Morrison patch vectors to the current
 // epoch's stack; a background re-base folds the stack into a fresh build
 // once it crosses the MaxPatches / MaxPatchOverhead thresholds, publishing
@@ -183,20 +184,15 @@ func NewLiveIndex(g *Graph, opts LiveOptions) (*LiveIndex, error) {
 		return nil, err
 	}
 	if opts.Batch.Portfolio != nil || opts.Batch.PinLandmark || opts.Batch.Landmark != 0 {
-		return nil, fmt.Errorf("landmarkrd: LiveOptions.Batch must not set Portfolio or PinLandmark/Landmark; use PortfolioK or InitialIndex")
+		return nil, fmt.Errorf("landmarkrd: LiveOptions.Batch must not set Portfolio or PinLandmark/Landmark; use PortfolioK or InitialPortfolio")
 	}
-	if opts.InitialIndex != nil && opts.PortfolioK > 0 {
-		return nil, fmt.Errorf("landmarkrd: LiveOptions.InitialIndex requires PortfolioK == 0")
+	if opts.NoIndex && (opts.PortfolioK != 0 || len(opts.Landmarks) > 0 || opts.InitialPortfolio != nil) {
+		return nil, fmt.Errorf("landmarkrd: LiveOptions.NoIndex serves without a portfolio; leave PortfolioK, Landmarks and InitialPortfolio unset")
 	}
-	if opts.InitialPortfolio != nil && opts.PortfolioK == 0 {
-		return nil, fmt.Errorf("landmarkrd: LiveOptions.InitialPortfolio requires PortfolioK > 0")
+	if len(opts.Landmarks) > 0 && opts.PortfolioK != len(opts.Landmarks) {
+		return nil, fmt.Errorf("landmarkrd: LiveOptions.Landmarks names %d vertices but PortfolioK is %d", len(opts.Landmarks), opts.PortfolioK)
 	}
-	if len(opts.Landmarks) > 0 && opts.PortfolioK == 0 {
-		return nil, fmt.Errorf("landmarkrd: LiveOptions.Landmarks requires PortfolioK > 0")
-	}
-	if opts.InitialIndex != nil && opts.InitialIndex.G != g {
-		return nil, fmt.Errorf("landmarkrd: LiveOptions.InitialIndex was built on a different graph")
-	}
+	opts.PortfolioK = ServingPortfolioK(opts.PortfolioK)
 	if opts.InitialPortfolio != nil && opts.InitialPortfolio.G != g {
 		return nil, fmt.Errorf("landmarkrd: LiveOptions.InitialPortfolio was built on a different graph")
 	}
@@ -218,7 +214,7 @@ func NewLiveIndex(g *Graph, opts LiveOptions) (*LiveIndex, error) {
 		metrics = &Metrics{}
 	}
 	li := &LiveIndex{opts: opts, seed: seed, metrics: metrics}
-	st, err := li.buildState(g, opts.InitialIndex, opts.InitialPortfolio)
+	st, err := li.buildState(g, opts.InitialPortfolio)
 	if err != nil {
 		return nil, err
 	}
@@ -231,15 +227,18 @@ func NewLiveIndex(g *Graph, opts LiveOptions) (*LiveIndex, error) {
 	return li, nil
 }
 
-// buildState constructs the serving state for graph g, reusing prebuilt
-// artifacts when provided (and built on g).
-func (li *LiveIndex) buildState(g *Graph, initIdx *LandmarkIndex, initPf *PortfolioIndex) (*liveState, error) {
+// buildState constructs the serving state for graph g, adopting the
+// prebuilt portfolio pf (built on g) when it is non-nil and building one
+// otherwise. A prebuilt portfolio must have PortfolioK landmarks.
+func (li *LiveIndex) buildState(g *Graph, pf *PortfolioIndex) (*liveState, error) {
 	st := &liveState{g: g}
 	bo := li.opts.Batch
 	bo.Metrics = li.metrics
-	if li.opts.PortfolioK > 0 {
-		pf := initPf
-		if pf == nil || pf.G != g {
+	if !li.opts.NoIndex {
+		if pf != nil && pf.K() != li.opts.PortfolioK {
+			return nil, fmt.Errorf("landmarkrd: portfolio has K=%d landmarks, live index serves K=%d", pf.K(), li.opts.PortfolioK)
+		}
+		if pf == nil {
 			var err error
 			pf, err = BuildPortfolioIndex(g, PortfolioBuildOptions{
 				K:         li.opts.PortfolioK,
@@ -257,41 +256,21 @@ func (li *LiveIndex) buildState(g *Graph, initIdx *LandmarkIndex, initPf *Portfo
 		}
 		st.pf = pf
 		bo.Portfolio = pf
-	} else if initIdx != nil && initIdx.G == g {
-		st.idx = initIdx
-		bo.Landmark = initIdx.Landmark
-		bo.PinLandmark = true
 	}
 	engine, err := NewBatchEngine(g, li.opts.Method, bo)
 	if err != nil {
 		return nil, fmt.Errorf("landmarkrd: live engine build: %w", err)
 	}
 	st.engine = engine
-	switch {
-	case li.opts.NoIndex:
-		upd, err := dynamic.New(g, li.opts.Tol)
-		if err != nil {
-			return nil, fmt.Errorf("landmarkrd: live updater: %w", err)
-		}
-		st.upd = upd
-	case st.pf != nil:
+	if st.pf != nil {
 		st.patched = dynamic.NewPatchedIndex(st.pf.Index(0), li.opts.Tol, li.metrics)
-	default:
-		if st.idx == nil {
-			idx, err := BuildLandmarkIndexOpts(g, engine.Landmark(), IndexBuildOptions{
-				Mode:    li.opts.Mode,
-				Seed:    li.seed,
-				Workers: li.opts.IndexWorkers,
-				Precond: li.opts.Precond,
-				Metrics: li.metrics,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("landmarkrd: live index build: %w", err)
-			}
-			st.idx = idx
-		}
-		st.patched = dynamic.NewPatchedIndex(st.idx, li.opts.Tol, li.metrics)
+		return st, nil
 	}
+	upd, err := dynamic.New(g, li.opts.Tol)
+	if err != nil {
+		return nil, fmt.Errorf("landmarkrd: live updater: %w", err)
+	}
+	st.upd = upd
 	return st, nil
 }
 
@@ -392,7 +371,7 @@ func (li *LiveIndex) shouldRebase(st *liveState, patches int) bool {
 }
 
 // Rebase folds the current patch stack into a fresh materialized graph,
-// rebuilds the index/portfolio and engine on it (the same parallel builds
+// rebuilds the portfolio and engine on it (the same parallel builds
 // a cold start runs), and publishes the result as a new epoch. Mutations
 // that race the rebuild are replayed onto the new epoch before
 // publication, so no update is lost. The superseded epoch retires once
@@ -415,7 +394,7 @@ func (li *LiveIndex) Rebase(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return li.mgr.Seq(), fmt.Errorf("landmarkrd: rebase materialize: %w", err)
 	}
-	next, err := li.buildState(g2, nil, nil)
+	next, err := li.buildState(g2, nil)
 	if err != nil {
 		return li.mgr.Seq(), err
 	}
@@ -423,8 +402,8 @@ func (li *LiveIndex) Rebase(ctx context.Context) (uint64, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	if li.mgr.Current().Value() != st {
-		// A hot reload (PublishIndex/PublishPortfolio) swapped the state
-		// under the rebuild; its snapshot is authoritative.
+		// A hot reload (PublishPortfolio) swapped the state under the
+		// rebuild; its snapshot is authoritative.
 		return li.mgr.Seq(), fmt.Errorf("landmarkrd: rebase aborted: epoch replaced during rebuild")
 	}
 	// Replay mutations that arrived while the rebuild ran. They were
@@ -448,37 +427,21 @@ func (li *LiveIndex) publishLocked(st *liveState) uint64 {
 	return seq
 }
 
-// PublishIndex hot-swaps serving onto a prebuilt (e.g. snapshot-loaded)
-// index, publishing it as a new epoch: idx.G becomes the serving graph and
-// any pending patches on the superseded epoch are dropped — the snapshot
-// is authoritative. This is the SIGHUP reload path; it shares the epoch
-// lifecycle with streamed updates. Requires PortfolioK == 0.
-func (li *LiveIndex) PublishIndex(idx *LandmarkIndex) (uint64, error) {
-	if idx == nil || idx.G == nil {
-		return 0, fmt.Errorf("landmarkrd: PublishIndex: nil index")
-	}
-	if li.opts.PortfolioK > 0 {
-		return 0, fmt.Errorf("landmarkrd: PublishIndex on a portfolio-mode live index")
-	}
-	st, err := li.buildState(idx.G, idx, nil)
-	if err != nil {
-		return 0, err
-	}
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.publishLocked(st), nil
-}
-
-// PublishPortfolio is PublishIndex for portfolio-mode serving. Requires
-// PortfolioK > 0.
+// PublishPortfolio hot-swaps serving onto a prebuilt (e.g. snapshot-
+// loaded) portfolio, publishing it as a new epoch: pf.G becomes the serving
+// graph and any pending patches on the superseded epoch are dropped — the
+// snapshot is authoritative. This is the SIGHUP reload path; it shares the
+// epoch lifecycle with streamed updates. The portfolio must have
+// PortfolioK landmarks; a mismatch is rejected and the current epoch keeps
+// serving.
 func (li *LiveIndex) PublishPortfolio(pf *PortfolioIndex) (uint64, error) {
 	if pf == nil || pf.G == nil {
 		return 0, fmt.Errorf("landmarkrd: PublishPortfolio: nil portfolio")
 	}
-	if li.opts.PortfolioK == 0 {
-		return 0, fmt.Errorf("landmarkrd: PublishPortfolio on an index-mode live index")
+	if li.opts.NoIndex {
+		return 0, fmt.Errorf("landmarkrd: PublishPortfolio on a NoIndex live index")
 	}
-	st, err := li.buildState(pf.G, nil, pf)
+	st, err := li.buildState(pf.G, pf)
 	if err != nil {
 		return 0, err
 	}
@@ -499,7 +462,7 @@ func (li *LiveIndex) Pin() *LiveEpoch {
 }
 
 // LiveEpoch is a pinned, consistent serving snapshot: a materialized graph
-// with the engine and index built on it, plus the patch stack streamed
+// with the engine and portfolio built on it, plus the patch stack streamed
 // onto it. All query methods are safe for concurrent use.
 type LiveEpoch struct {
 	e        *epoch.Epoch[*liveState]
@@ -532,11 +495,7 @@ func (ep *LiveEpoch) Engine() *BatchEngine { return ep.e.Value().engine }
 // Landmark returns the epoch's (primary) landmark vertex.
 func (ep *LiveEpoch) Landmark() int { return ep.e.Value().engine.Landmark() }
 
-// Index returns the epoch's landmark index, or nil in NoIndex or
-// portfolio mode.
-func (ep *LiveEpoch) Index() *LandmarkIndex { return ep.e.Value().idx }
-
-// Portfolio returns the epoch's portfolio, or nil outside portfolio mode.
+// Portfolio returns the epoch's portfolio, or nil in NoIndex mode.
 func (ep *LiveEpoch) Portfolio() *PortfolioIndex { return ep.e.Value().pf }
 
 // Patches returns the number of mutations applied to this epoch so far.
@@ -555,24 +514,19 @@ func (ep *LiveEpoch) DegradedPairsContext(ctx context.Context, queries []PairQue
 }
 
 // SingleSourceContext returns r(s, t) for every t against the epoch's
-// materialized graph, through the portfolio or index. Unavailable in
-// NoIndex mode.
+// materialized graph, through the portfolio. Unavailable in NoIndex mode.
 func (ep *LiveEpoch) SingleSourceContext(ctx context.Context, s int) ([]float64, error) {
-	st := ep.e.Value()
-	switch {
-	case st.pf != nil:
-		out, _, err := st.pf.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
-		return out, err
-	case st.idx != nil:
-		return st.idx.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
-	default:
-		return nil, fmt.Errorf("landmarkrd: single-source queries need an index (NoIndex live mode)")
+	pf := ep.e.Value().pf
+	if pf == nil {
+		return nil, fmt.Errorf("landmarkrd: single-source queries need a portfolio (NoIndex live mode)")
 	}
+	out, _, err := pf.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
+	return out, err
 }
 
 // FreshPairContext returns r(s, t) with the epoch's pending patches folded
 // in — the freshest consistent answer available without waiting for a
-// re-base. One grounded solve plus O(1) per patch when an index exists;
+// re-base. One grounded solve plus O(1) per patch when a portfolio exists;
 // full pseudo-inverse solves in NoIndex mode.
 func (ep *LiveEpoch) FreshPairContext(ctx context.Context, s, t int) (float64, error) {
 	st := ep.e.Value()

@@ -352,8 +352,8 @@ func TestLivePortfolioAndNoIndexModes(t *testing.T) {
 		}
 		ep := li.Pin()
 		defer ep.Release()
-		if ep.Index() != nil {
-			t.Fatal("NoIndex mode built an index")
+		if ep.Portfolio() != nil {
+			t.Fatal("NoIndex mode built a portfolio")
 		}
 		if _, err := ep.SingleSourceContext(ctx, 0); err == nil {
 			t.Error("single-source succeeded without an index")
@@ -381,9 +381,8 @@ func TestLiveValidationAndErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("PinLandmark in Batch accepted")
 	}
-	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{PortfolioK: 2,
-		InitialIndex: &landmarkrd.LandmarkIndex{}}); err == nil {
-		t.Error("InitialIndex with PortfolioK accepted")
+	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{PortfolioK: 2, NoIndex: true}); err == nil {
+		t.Error("NoIndex with PortfolioK accepted")
 	}
 
 	li, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{Method: landmarkrd.Push})
@@ -427,8 +426,9 @@ func TestLiveValidationAndErrors(t *testing.T) {
 }
 
 // TestLivePublishIndexHotReload covers the unified SIGHUP path: publishing
-// a prebuilt index swaps the serving graph and drops pending patches, and
-// the superseded epoch retires once unpinned.
+// a prebuilt single-landmark index (a K=1 portfolio, the default serving
+// shape) swaps the serving graph and drops pending patches, and the
+// superseded epoch retires once unpinned.
 func TestLivePublishIndexHotReload(t *testing.T) {
 	g := liveTestGraph(t)
 	ctx := context.Background()
@@ -448,11 +448,11 @@ func TestLivePublishIndexHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := landmarkrd.BuildLandmarkIndexOpts(g2, 0, landmarkrd.IndexBuildOptions{})
+	pf2, err := landmarkrd.BuildPortfolioIndex(g2, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := li.PublishIndex(idx2)
+	seq, err := li.PublishPortfolio(pf2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,15 +467,48 @@ func TestLivePublishIndexHotReload(t *testing.T) {
 	if ep.Graph() != g2 {
 		t.Fatal("reload did not adopt the new graph")
 	}
-	if ep.Landmark() != 0 || ep.Index() != idx2 {
-		t.Fatalf("reload landmark %d index %p, want pinned snapshot index", ep.Landmark(), ep.Index())
+	if ep.Landmark() != 0 || ep.Portfolio() != pf2 {
+		t.Fatalf("reload landmark %d portfolio %p, want pinned snapshot portfolio", ep.Landmark(), ep.Portfolio())
 	}
 	if retires.Load() != 1 {
 		t.Fatalf("retires = %d, want 1", retires.Load())
 	}
-	// Portfolio publish on an index-mode live index must be rejected.
 	if _, err := li.PublishPortfolio(nil); err == nil {
 		t.Error("nil portfolio accepted")
+	}
+}
+
+// TestLiveRejectsPortfolioKDrift: a live index serves exactly PortfolioK
+// landmarks (0 means 1). A portfolio of another size is rejected at
+// construction and on PublishPortfolio, where the current epoch keeps
+// serving; adopting it would let the next re-base silently rebuild at the
+// configured K with re-selected landmarks.
+func TestLiveRejectsPortfolioKDrift(t *testing.T) {
+	g, _, err := landmarkrd.LoadEdgeList("testdata/corpus/grid_14x14.edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf4, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 2} {
+		if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{PortfolioK: k, InitialPortfolio: pf4}); err == nil {
+			t.Errorf("PortfolioK %d accepted a K=4 InitialPortfolio", k)
+		}
+	}
+
+	li, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{PortfolioK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := li.PublishPortfolio(pf4); err == nil {
+		t.Error("PortfolioK 2 published a K=4 portfolio")
+	}
+	ep := li.Pin()
+	defer ep.Release()
+	if ep.Seq() != 1 || ep.Portfolio().K() != 2 {
+		t.Errorf("after a rejected publish: epoch %d serving K=%d, want epoch 1 with K=2", ep.Seq(), ep.Portfolio().K())
 	}
 }
 

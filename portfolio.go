@@ -80,6 +80,13 @@ func BuildPortfolioIndex(g *Graph, opts PortfolioBuildOptions) (*PortfolioIndex,
 	}, randx.New(seed))
 }
 
+// ServingPortfolioK resolves the portfolio size of a serving
+// configuration: 0 (or less) means 1, a single landmark column.
+// LiveOptions.PortfolioK, rdserver -portfolio, rdquery -portfolio
+// (single-source) and rdbench -snapshot-k all resolve through it, while
+// BuildPortfolioIndex itself reads K=0 as 4.
+func ServingPortfolioK(k int) int { return max(k, 1) }
+
 // ParseLandmarkList parses a comma-separated vertex list ("3,17,42") into
 // landmark indices for PortfolioBuildOptions.Landmarks — the flag syntax
 // rdserver replicas use to serve a shard subset of a fleet-wide portfolio.

@@ -3,15 +3,17 @@ package landmarkrd
 // Portfolio tests: conformance of the routed single-source path against
 // the dense oracle at exact tolerance for K ∈ {1, 2, 4}, byte-identical
 // determinism across worker counts, the v3 snapshot round trip (plus v2
-// backward compatibility), and the router's conflict-fallback behavior on
-// both the estimator and the batch engine.
+// read compatibility, from a committed fixture), and the router's
+// conflict-fallback behavior on both the estimator and the batch engine.
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"landmarkrd/internal/core"
@@ -166,11 +168,6 @@ func TestPortfolioSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	t.Run("V2ReaderRejectsV3", func(t *testing.T) {
-		if _, err := ReadIndexFrom(bytes.NewReader(raw), c.G); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("ReadIndexFrom on v3 bytes: %v, want ErrSnapshotVersion", err)
-		}
-	})
 	t.Run("ChecksumTrips", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[len(bad)/2] ^= 0x40
@@ -194,30 +191,50 @@ func TestPortfolioSnapshotRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPortfolioSnapshotV2Compat reads a v2 single-landmark snapshot
-// through the portfolio loader: it must come back as a K=1 portfolio with
-// the identical column, so pre-portfolio snapshot files keep working.
+// TestPortfolioSnapshotV2Compat reads the committed v2 single-landmark
+// fixture (grid_14x14, landmark 4, DiagExactCG, seed 1; written before the
+// v2 writer was removed) through the portfolio loader: it must come back
+// as a K=1 portfolio whose column is the fixture's stored diagonal bit for
+// bit (the expected bits are decoded from the file itself), so
+// pre-portfolio snapshot files keep serving the same values. The column is
+// also checked against a fresh exact build to solver accuracy.
 func TestPortfolioSnapshotV2Compat(t *testing.T) {
-	c := conformanceCases(t)[0]
-	idx, err := BuildLandmarkIndexOpts(c.G, c.Landmark, IndexBuildOptions{Mode: DiagExactCG, Seed: 3})
+	const fixture = "testdata/snapshots/grid_14x14_exact_seed1.v2.snap"
+	g, _, err := LoadEdgeList(corpusDir + "/grid_14x14.edges")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	p, err := LoadPortfolioIndex(fixture, g)
+	if err != nil {
+		t.Fatalf("LoadPortfolioIndex on the v2 fixture: %v", err)
+	}
+	if p.K() != 1 || p.Landmarks[0] != 4 || p.Mode != DiagExactCG {
+		t.Fatalf("v2 upgrade: K=%d landmarks=%v mode=%v, want K=1 [4] exact-cg", p.K(), p.Landmarks, p.Mode)
+	}
+	// v2 layout: 8 magic + 4 version + 4 flags + landmark, mode, n and
+	// fingerprint at 8 bytes each, then the n-entry diagonal and the CRC.
+	raw, err := os.ReadFile(fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ReadPortfolioFrom(&buf, c.G)
-	if err != nil {
-		t.Fatalf("ReadPortfolioFrom on v2 bytes: %v", err)
+	const header = 48
+	n := g.N()
+	if len(raw) != header+8*n+8 {
+		t.Fatalf("fixture is %d bytes, want %d for n=%d", len(raw), header+8*n+8, n)
 	}
-	if p.K() != 1 || p.Landmarks[0] != idx.Landmark || p.Mode != idx.Mode {
-		t.Fatalf("v2 upgrade: K=%d landmarks=%v mode=%v, want K=1 [%d] %v",
-			p.K(), p.Landmarks, p.Mode, idx.Landmark, idx.Mode)
+	for i := 0; i < n; i++ {
+		want := binary.LittleEndian.Uint64(raw[header+8*i:])
+		if got := math.Float64bits(p.Cols[0][i]); got != want {
+			t.Fatalf("v2 upgrade changed column entry %d: %#x, stored %#x", i, got, want)
+		}
+	}
+	idx, err := BuildLandmarkIndexOpts(g, 4, IndexBuildOptions{Mode: DiagExactCG, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range idx.Diag {
-		if math.Float64bits(p.Cols[0][i]) != math.Float64bits(idx.Diag[i]) {
-			t.Fatalf("v2 upgrade changed column entry %d", i)
+		if math.Abs(p.Cols[0][i]-idx.Diag[i]) > 1e-9 {
+			t.Fatalf("v2 column entry %d = %v, fresh build %v", i, p.Cols[0][i], idx.Diag[i])
 		}
 	}
 }

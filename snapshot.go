@@ -6,16 +6,22 @@ import (
 	"landmarkrd/internal/core"
 )
 
-// Index snapshots: a LandmarkIndex serializes to a versioned, checksummed
-// binary format (LandmarkIndex.WriteTo, an io.WriterTo) and loads back with
-// ReadIndexFrom / LoadLandmarkIndex. The snapshot stores a fingerprint of
-// the graph it was built from, so it can only be bound to that exact graph;
-// a reloaded index answers every query Float64bits-identically to the
-// freshly built one. rdserver uses snapshots for fast startup and SIGHUP
-// hot-reload; rdbench and rdquery can write and reuse them via -snapshot.
+// Index snapshots: a PortfolioIndex serializes to a versioned, checksummed
+// binary format (the v3 format, magic "LRDIDX3\n": K landmark columns, a
+// CRC-64 trailer, and a fingerprint of the graph it was built from) with
+// its WriteTo method (an io.WriterTo) or SavePortfolioIndex, and loads back
+// with ReadPortfolioFrom / LoadPortfolioIndex. The fingerprint binds a
+// snapshot to that exact graph; a reloaded portfolio answers every query
+// Float64bits-identically to the freshly built one. A single-landmark
+// index is a K=1 portfolio and is saved the same way. rdserver uses
+// snapshots for fast startup and SIGHUP hot-reload; rdbench and rdquery
+// can write and reuse them via -snapshot.
+//
+// Snapshots of the retired v2 single-landmark format (magic "LRDIDX2\n")
+// still load, read-only, as K=1 portfolios; nothing writes v2 any more.
 
 // Typed snapshot rejection errors, matched with errors.Is against the error
-// ReadIndexFrom / LoadLandmarkIndex return.
+// ReadPortfolioFrom / LoadPortfolioIndex return.
 var (
 	// ErrSnapshotCorrupt: not a snapshot, truncated, or structurally broken.
 	ErrSnapshotCorrupt = core.ErrSnapshotCorrupt
@@ -27,41 +33,10 @@ var (
 	ErrSnapshotMismatch = core.ErrSnapshotMismatch
 )
 
-// ReadIndexFrom deserializes an index snapshot from r and binds it to g,
-// verifying the format version, the trailing checksum, and that the
-// snapshot was built from exactly g (graph fingerprint). Failures match
-// one of the ErrSnapshot* sentinels.
-func ReadIndexFrom(r io.Reader, g *Graph) (*LandmarkIndex, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	return core.ReadIndex(r, g)
-}
-
-// SaveLandmarkIndex writes the index snapshot to a file.
-func SaveLandmarkIndex(idx *LandmarkIndex, path string) error {
-	return core.SaveIndex(idx, path)
-}
-
-// LoadLandmarkIndex reads an index snapshot file and binds it to g, with
-// the same verification as ReadIndexFrom.
-func LoadLandmarkIndex(path string, g *Graph) (*LandmarkIndex, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	return core.LoadIndex(path, g)
-}
-
-// Portfolio snapshots use the v3 format: the v2 layout generalized to K
-// landmark columns (magic "LRDIDX3\n", same CRC-64 trailer and graph
-// fingerprint binding). A PortfolioIndex serializes with its WriteTo
-// method; ReadPortfolioFrom / LoadPortfolioIndex also accept a v2
-// single-landmark snapshot and upgrade it to a K=1 portfolio, so existing
-// snapshot files keep working when a server flips to portfolio mode.
-
 // ReadPortfolioFrom deserializes a portfolio snapshot (v3, or v2 upgraded
-// to K=1) from r and binds it to g, with the same verification as
-// ReadIndexFrom. Failures match the ErrSnapshot* sentinels.
+// to K=1) from r and binds it to g, verifying the format version, the
+// trailing checksum, and that the snapshot was built from exactly g (graph
+// fingerprint). Failures match the ErrSnapshot* sentinels.
 func ReadPortfolioFrom(r io.Reader, g *Graph) (*PortfolioIndex, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err
@@ -75,7 +50,8 @@ func SavePortfolioIndex(p *PortfolioIndex, path string) error {
 }
 
 // LoadPortfolioIndex reads a portfolio snapshot file (v3, or v2 upgraded
-// to K=1) and binds it to g.
+// to K=1) and binds it to g, with the same verification as
+// ReadPortfolioFrom.
 func LoadPortfolioIndex(path string, g *Graph) (*PortfolioIndex, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err

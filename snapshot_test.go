@@ -11,9 +11,10 @@ import (
 )
 
 // TestSnapshotRoundTripCorpus: for every conformance corpus graph and every
-// diagonal mode, a snapshot written with WriteTo and read back with
-// ReadIndexFrom is Float64bits-identical to the freshly built index, both
-// in the stored diagonal and in the single-source answers derived from it.
+// diagonal mode, a single-landmark index — a K=1 portfolio — written with
+// WriteTo and read back with ReadPortfolioFrom is Float64bits-identical to
+// the freshly built one, both in the stored column and in the single-source
+// answers derived from it.
 func TestSnapshotRoundTripCorpus(t *testing.T) {
 	graphs, err := filepath.Glob("testdata/corpus/*.edges")
 	if err != nil {
@@ -30,36 +31,36 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				idx, err := landmarkrd.BuildLandmarkIndexOpts(g, g.MaxDegreeVertex(), landmarkrd.IndexBuildOptions{
-					Mode: mode, Seed: 7,
+				pf, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
+					Landmarks: []int{g.MaxDegreeVertex()}, Mode: mode, Seed: 7,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if _, err := idx.WriteTo(&buf); err != nil {
+				if _, err := pf.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
-				got, err := landmarkrd.ReadIndexFrom(&buf, g)
+				got, err := landmarkrd.ReadPortfolioFrom(&buf, g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Landmark != idx.Landmark || got.Mode != idx.Mode {
-					t.Fatalf("header changed: landmark %d mode %v, want %d %v",
-						got.Landmark, got.Mode, idx.Landmark, idx.Mode)
+				if got.K() != 1 || got.Primary() != pf.Primary() || got.Mode != pf.Mode {
+					t.Fatalf("header changed: landmarks %v mode %v, want %v %v",
+						got.Landmarks, got.Mode, pf.Landmarks, pf.Mode)
 				}
-				for i := range idx.Diag {
-					if math.Float64bits(got.Diag[i]) != math.Float64bits(idx.Diag[i]) {
-						t.Fatalf("Diag[%d]: %x, want %x", i,
-							math.Float64bits(got.Diag[i]), math.Float64bits(idx.Diag[i]))
+				for i := range pf.Cols[0] {
+					if math.Float64bits(got.Cols[0][i]) != math.Float64bits(pf.Cols[0][i]) {
+						t.Fatalf("Cols[0][%d]: %x, want %x", i,
+							math.Float64bits(got.Cols[0][i]), math.Float64bits(pf.Cols[0][i]))
 					}
 				}
-				s := (idx.Landmark + 1) % g.N()
-				a, err := landmarkrd.SingleSource(idx, s)
+				s := (pf.Primary() + 1) % g.N()
+				a, _, err := landmarkrd.PortfolioSingleSource(pf, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := landmarkrd.SingleSource(got, s)
+				b, _, err := landmarkrd.PortfolioSingleSource(got, s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,18 +86,18 @@ func TestSnapshotGraphBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1)
+	pf, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := pf.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := landmarkrd.ReadIndexFrom(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, landmarkrd.ErrSnapshotMismatch) {
+	if _, err := landmarkrd.ReadPortfolioFrom(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, landmarkrd.ErrSnapshotMismatch) {
 		t.Errorf("foreign graph: err = %v, want ErrSnapshotMismatch", err)
 	}
-	if _, err := landmarkrd.ReadIndexFrom(bytes.NewReader(buf.Bytes()[:40]), g); !errors.Is(err, landmarkrd.ErrSnapshotCorrupt) {
+	if _, err := landmarkrd.ReadPortfolioFrom(bytes.NewReader(buf.Bytes()[:40]), g); !errors.Is(err, landmarkrd.ErrSnapshotCorrupt) {
 		t.Errorf("truncated: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
