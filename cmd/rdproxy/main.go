@@ -24,9 +24,14 @@
 // LRU keyed on the graph fingerprint. SIGHUP re-reads the graph (and
 // snapshot) and publishes the new fingerprint fleet-wide, retiring every
 // cached answer of the old version. SIGINT/SIGTERM drains in-flight
-// queries for up to -drain-timeout. Excess concurrent queries beyond
-// -max-inflight get an immediate 429 with a jittered Retry-After, the same
-// protocol the replicas speak.
+// queries for up to -drain-timeout.
+//
+// The coordinator serves through internal/httpapi, the protocol the
+// replicas speak too: every error is a {"error":{"code","message"}}
+// envelope, a wrong method gets 405 with Allow, a batch body over 1 MiB
+// gets 413 body_too_large, an impossible vertex 422, a handler panic a
+// 500 internal (counted in panics), and queries beyond -max-inflight an
+// immediate 429 with a jittered Retry-After.
 //
 // Resilience (DESIGN.md §14): each replica carries a circuit breaker over
 // a -breaker-window sliding failure window (open shards are skipped until
@@ -39,19 +44,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	landmarkrd "landmarkrd"
-	"landmarkrd/internal/debugsrv"
 )
 
 func main() {
@@ -124,43 +123,6 @@ func run(graphPath, addr string, drain time.Duration, debugAddr string, cfg prox
 		fmt.Fprintf(os.Stderr, "rdproxy:   %s owns positions %v\n", r.name, st.router.Owners()[r.name])
 	}
 	landmarkrd.PublishMetrics("landmarkrd.proxy", p.metrics)
-
-	dbg, err := debugsrv.Start(debugAddr)
-	if err != nil {
-		return err
-	}
-	if a := dbg.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "rdproxy: debug endpoint on http://%s/debug/vars\n", a)
-	}
-
-	httpSrv := &http.Server{Addr: addr, Handler: p.routes()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	go p.healthLoop(ctx)
-
-	// SIGHUP rolls out a new graph version fleet-wide.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go p.watchReload(hup)
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "rdproxy: shutting down, draining in-flight queries")
-		drainCtx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		err := httpSrv.Shutdown(drainCtx)
-		if dbgErr := dbg.Shutdown(drainCtx); err == nil {
-			err = dbgErr
-		}
-		shutdownErr <- err
-	}()
-
-	fmt.Fprintf(os.Stderr, "rdproxy: coordinating on %s\n", addr)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-shutdownErr
+	p.api.Logger.Printf("coordinating on %s", addr)
+	return p.api.Run(addr, debugAddr, drain, p.routes(), p.reload, p.healthLoop)
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
-	"log"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
@@ -20,14 +17,9 @@ import (
 	landmarkrd "landmarkrd"
 	"landmarkrd/internal/breaker"
 	"landmarkrd/internal/cluster"
+	"landmarkrd/internal/httpapi"
 	"landmarkrd/internal/rcache"
 	"landmarkrd/internal/retry"
-)
-
-// Retry-After jitter band for 429 responses, matching rdserver's.
-const (
-	retryAfterMin = 1
-	retryAfterMax = 3
 )
 
 // proxyConfig is the coordinator's configuration, mirroring rdserver's
@@ -141,7 +133,7 @@ type replica struct {
 type proxyServer struct {
 	cfg     proxyConfig
 	metrics *landmarkrd.Metrics
-	logger  *log.Logger
+	api     *httpapi.Server // the protocol rdserver speaks too
 	client  *http.Client
 
 	state    atomic.Pointer[proxyState]
@@ -155,10 +147,6 @@ type proxyServer struct {
 	graphPath string
 
 	ready atomic.Bool
-
-	sem   chan struct{}
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 func newProxyServer(graphPath string, cfg proxyConfig) (*proxyServer, error) {
@@ -171,13 +159,12 @@ func newProxyServer(graphPath string, cfg proxyConfig) (*proxyServer, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	p := &proxyServer{
-		cfg:       cfg,
-		metrics:   &landmarkrd.Metrics{},
-		logger:    log.New(os.Stderr, "rdproxy: ", 0),
-		graphPath: graphPath,
-		rng:       rand.New(rand.NewSource(int64(cfg.seed))),
+	inflight := cfg.maxInflight
+	if inflight <= 0 {
+		inflight = 64
 	}
+	p := &proxyServer{cfg: cfg, metrics: &landmarkrd.Metrics{}, graphPath: graphPath}
+	p.api = httpapi.New("rdproxy", inflight, cfg.timeout, cfg.seed, p.metrics.Panics.Inc)
 	timeout := cfg.timeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -198,11 +185,6 @@ func newProxyServer(graphPath string, cfg proxyConfig) (*proxyServer, error) {
 		}
 		p.replicas = append(p.replicas, r)
 	}
-	inflight := cfg.maxInflight
-	if inflight <= 0 {
-		inflight = 64
-	}
-	p.sem = make(chan struct{}, inflight)
 	if cfg.cacheSize > 0 {
 		p.cache = rcache.New(cfg.cacheSize, p.metrics)
 	}
@@ -271,18 +253,9 @@ func (p *proxyServer) reload() error {
 	}
 	old := p.state.Swap(st)
 	if old != nil && old.fp != st.fp {
-		p.logger.Printf("rolled out graph version %#x (was %#x)", st.fp, old.fp)
+		p.api.Logger.Printf("rolled out graph version %#x (was %#x)", st.fp, old.fp)
 	}
 	return nil
-}
-
-func (p *proxyServer) watchReload(ch <-chan os.Signal) {
-	for range ch {
-		p.logger.Printf("SIGHUP, rolling out new graph version")
-		if err := p.reload(); err != nil {
-			p.logger.Printf("rollout failed, keeping current version: %v", err)
-		}
-	}
 }
 
 // healthSweep polls every replica's /readyz once, synchronously. The
@@ -328,13 +301,11 @@ func (p *proxyServer) observeHealth(r *replica, up bool) {
 	if r.streak >= need {
 		r.healthy.Store(up)
 		r.streak = 0
-		if p.logger != nil {
-			dir := "down"
-			if up {
-				dir = "up"
-			}
-			p.logger.Printf("replica %s marked %s after %d consecutive probes", r.name, dir, need)
+		dir := "down"
+		if up {
+			dir = "up"
 		}
+		p.api.Logger.Printf("replica %s marked %s after %d consecutive probes", r.name, dir, need)
 	}
 }
 
@@ -660,7 +631,7 @@ func (p *proxyServer) routePair(ctx context.Context, st *proxyState, s, t int) (
 			if dl, ok := ctx.Deadline(); ok {
 				remaining = dl.Sub(p.cfg.now())
 			}
-			p.logger.Printf("pair (%d,%d): stopping failover after %d/%d attempts, %v of deadline left (last: %v)",
+			p.api.Logger.Printf("pair (%d,%d): stopping failover after %d/%d attempts, %v of deadline left (last: %v)",
 				s, t, launched, len(targets), remaining.Round(time.Millisecond), lastErr)
 			return pairReply{}, failovers, errDeadlineBudget
 		case lastErr != nil:
@@ -744,128 +715,60 @@ func (p *proxyServer) routePair(ctx context.Context, st *proxyState, s, t int) (
 	return finish()
 }
 
-// errNotShareable marks a leader's non-cacheable reply inside a cache
-// flight (degraded or unconverged): waiters recompute their own.
-var errNotShareable = errors.New("rdproxy: reply not shareable")
-
 // solvePair answers one pair through the cache (when configured) and the
 // routed fan-out. Keys carry the current state's graph fingerprint, so a
-// rollout retires stale entries wholesale.
+// rollout retires stale entries wholesale. Only converged, non-degraded
+// replies are shareable: rcache stores them and hands them to concurrent
+// identical requests.
 func (p *proxyServer) solvePair(ctx context.Context, st *proxyState, s, t int) (pairReply, error) {
 	if p.cache == nil {
 		reply, _, err := p.routePair(ctx, st, s, t)
 		return reply, err
 	}
-	key := rcache.NewKey(st.fp, s, t)
 	var full pairReply
 	var have bool
-	v, out, err := p.cache.Do(ctx, key, func() (float64, bool, error) {
+	v, out, err := p.cache.Do(ctx, rcache.NewKey(st.fp, s, t), func() (float64, bool, error) {
 		reply, _, err := p.routePair(ctx, st, s, t)
-		if err != nil {
-			return 0, false, err
-		}
-		full, have = reply, true
-		if reply.Converged && !reply.Degraded {
-			return reply.Value, true, nil
-		}
-		return 0, false, errNotShareable
+		full, have = reply, err == nil
+		return reply.Value, reply.Converged && !reply.Degraded, err
 	})
 	switch {
-	case err == nil:
-		if have {
-			full.Cache = out.String()
-			return full, nil
-		}
-		return pairReply{S: s, T: t, Value: v, Converged: true, Cache: out.String()}, nil
-	case errors.Is(err, errNotShareable):
-		if have {
-			full.Cache = out.String()
-			return full, nil
-		}
-		reply, _, rerr := p.routePair(ctx, st, s, t)
-		return reply, rerr
-	default:
+	case err != nil:
 		return pairReply{}, err
+	case !have:
+		full = pairReply{S: s, T: t, Value: v, Converged: true}
 	}
+	full.Cache = out.String()
+	return full, nil
 }
 
-// routes builds the coordinator mux with the same method-pattern + JSON
-// 405 taxonomy as rdserver.
+// routes builds the coordinator's handler on the protocol the replicas
+// speak.
 func (p *proxyServer) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", p.handleHealthz)
-	mux.HandleFunc("/healthz", p.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("GET /readyz", p.handleReadyz)
-	mux.HandleFunc("/readyz", p.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("GET /v1/pair", p.admit(p.handlePair))
-	mux.HandleFunc("/v1/pair", p.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("POST /v1/batch", p.admit(p.handleBatch))
-	mux.HandleFunc("/v1/batch", p.methodNotAllowed("POST"))
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/vars", p.methodNotAllowed("GET, HEAD"))
-	return mux
+	return p.api.Routes(p.notReady, map[string]http.HandlerFunc{
+		"GET /v1/pair":   p.handlePair,
+		"POST /v1/batch": p.handleBatch,
+	})
 }
 
-func (p *proxyServer) methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		p.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, allow))
+// notReady is the /readyz reason: not ready while a rollout is mid-flight
+// or no replica is healthy — a fully dark fleet should be pulled from the
+// load balancer.
+func (p *proxyServer) notReady() (code, msg string) {
+	switch {
+	case !p.ready.Load():
+		return "not_ready", "rollout in progress"
+	case p.healthyCount() == 0:
+		return "no_replicas", "no healthy replica"
 	}
-}
-
-// admit is the proxy's admission gate: the same immediate-429-with-jitter
-// policy as the replicas, so saturation at either tier speaks one
-// protocol.
-func (p *proxyServer) admit(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case p.sem <- struct{}{}:
-			defer func() { <-p.sem }()
-		default:
-			p.rngMu.Lock()
-			after := retryAfterMin + p.rng.Intn(retryAfterMax-retryAfterMin+1)
-			p.rngMu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-			p.writeError(w, http.StatusTooManyRequests, "saturated", "coordinator at capacity")
-			return
-		}
-		ctx := r.Context()
-		if p.cfg.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.cfg.timeout)
-			defer cancel()
-		}
-		h(w, r.WithContext(ctx))
-	}
-}
-
-func (p *proxyServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz answers ready only when the routing state is loaded, no
-// rollout is mid-flight, and at least one replica is healthy — a fully
-// dark fleet should be pulled from the load balancer.
-func (p *proxyServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !p.ready.Load() {
-		p.writeError(w, http.StatusServiceUnavailable, "not_ready", "rollout in progress")
-		return
-	}
-	if p.healthyCount() == 0 {
-		p.writeError(w, http.StatusServiceUnavailable, "no_replicas", "no healthy replica")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
+	return "", ""
 }
 
 func (p *proxyServer) handlePair(w http.ResponseWriter, r *http.Request) {
 	st := p.state.Load()
-	s, t, err := parsePairParams(r, st.g)
+	s, t, err := httpapi.PairParams(r, st.g.N())
 	if err != nil {
-		p.writeRequestError(w, err)
+		p.api.RequestError(w, err)
 		return
 	}
 	reply, err := p.solvePair(r.Context(), st, s, t)
@@ -874,49 +777,27 @@ func (p *proxyServer) handlePair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply.S, reply.T = s, t
-	writeJSON(w, struct {
+	httpapi.WriteJSON(w, struct {
 		pairReply
 		Epoch uint64 `json:"graph_version"`
 	}{pairReply: reply, Epoch: st.fp})
 }
 
-type batchRequest struct {
-	Pairs []struct {
-		S int `json:"s"`
-		T int `json:"t"`
-	} `json:"pairs"`
-}
-
 func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st := p.state.Load()
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		p.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
+	pairs, err := httpapi.DecodePairs(w, r, httpapi.DefaultMaxBody, st.g.N())
+	if err != nil {
+		p.api.RequestError(w, err)
 		return
-	}
-	if len(req.Pairs) == 0 {
-		p.writeError(w, http.StatusBadRequest, "bad_request", "empty batch")
-		return
-	}
-	for i, q := range req.Pairs {
-		if err := validVertex(st.g, q.S); err != nil {
-			p.writeRequestError(w, fmt.Errorf("pairs[%d].s: %w", i, err))
-			return
-		}
-		if err := validVertex(st.g, q.T); err != nil {
-			p.writeRequestError(w, fmt.Errorf("pairs[%d].t: %w", i, err))
-			return
-		}
 	}
 	// Fan the batch out with bounded concurrency; each pair routes (and
 	// caches) independently, so one saturated shard only slows its own
 	// pairs.
-	results := make([]pairReply, len(req.Pairs))
-	errs := make([]error, len(req.Pairs))
+	results := make([]pairReply, len(pairs))
+	errs := make([]error, len(pairs))
 	var wg sync.WaitGroup
 	lanes := make(chan struct{}, 8)
-	for i, q := range req.Pairs {
+	for i, q := range pairs {
 		wg.Add(1)
 		go func(i, s, t int) {
 			defer wg.Done()
@@ -933,9 +814,9 @@ func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// place, and the pairs with healthy owners still get answers. The batch
 	// as a whole fails only on request-level problems (bad JSON, bad
 	// vertices), checked above.
-	entries := make([]any, len(req.Pairs))
+	entries := make([]any, len(pairs))
 	failed := 0
-	for i := range req.Pairs {
+	for i := range pairs {
 		if errs[i] == nil {
 			entries[i] = results[i]
 			continue
@@ -943,15 +824,15 @@ func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		failed++
 		_, code := proxyErrorStatus(errs[i])
 		var e batchEntryError
-		e.S, e.T = req.Pairs[i].S, req.Pairs[i].T
+		e.S, e.T = pairs[i].S, pairs[i].T
 		e.Error.Code = code
 		e.Error.Message = errs[i].Error()
 		entries[i] = e
 	}
 	if failed > 0 {
-		p.logger.Printf("batch: %d/%d pairs failed, returning per-pair envelopes", failed, len(req.Pairs))
+		p.api.Logger.Printf("batch: %d/%d pairs failed, returning per-pair envelopes", failed, len(pairs))
 	}
-	writeJSON(w, struct {
+	httpapi.WriteJSON(w, struct {
 		GraphVersion uint64 `json:"graph_version"`
 		Results      []any  `json:"results"`
 	}{GraphVersion: st.fp, Results: entries})
@@ -961,60 +842,9 @@ func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the pair's coordinates plus the same {code, message} error object the
 // top-level JSON errors use.
 type batchEntryError struct {
-	S     int `json:"s"`
-	T     int `json:"t"`
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// errOutOfRange mirrors rdserver's 400-vs-422 split.
-var errOutOfRange = errors.New("vertex out of range")
-
-func validVertex(g *landmarkrd.Graph, v int) error {
-	if v < 0 || v >= g.N() {
-		return fmt.Errorf("%w: vertex %d not in [0, %d)", errOutOfRange, v, g.N())
-	}
-	return nil
-}
-
-func parsePairParams(r *http.Request, g *landmarkrd.Graph) (int, int, error) {
-	s, err := intParam(r, "s")
-	if err != nil {
-		return 0, 0, err
-	}
-	t, err := intParam(r, "t")
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := validVertex(g, s); err != nil {
-		return 0, 0, err
-	}
-	if err := validVertex(g, t); err != nil {
-		return 0, 0, err
-	}
-	return s, t, nil
-}
-
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %v", name, err)
-	}
-	return v, nil
-}
-
-func (p *proxyServer) writeRequestError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errOutOfRange) {
-		p.writeError(w, http.StatusUnprocessableEntity, "vertex_out_of_range", err.Error())
-		return
-	}
-	p.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	S int `json:"s"`
+	T int `json:"t"`
+	httpapi.ErrorBody
 }
 
 // proxyErrorStatus maps a fan-out failure to its HTTP status and error
@@ -1053,9 +883,7 @@ func (p *proxyServer) retryAfterHint(err error) int {
 		return ue.retryAfter
 	}
 	if errors.Is(err, errRetryBudgetExhausted) {
-		p.rngMu.Lock()
-		defer p.rngMu.Unlock()
-		return retryAfterMin + p.rng.Intn(retryAfterMax-retryAfterMin+1)
+		return p.api.RetryAfter()
 	}
 	return 0
 }
@@ -1065,32 +893,5 @@ func (p *proxyServer) writeProxyError(w http.ResponseWriter, err error) {
 	if ra := p.retryAfterHint(err); ra > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(ra))
 	}
-	p.writeError(w, status, code, err.Error())
-}
-
-type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// writeError emits the structured JSON envelope, logging encode failures
-// like rdserver does.
-func (p *proxyServer) writeError(w http.ResponseWriter, status int, code, msg string) {
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = msg
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil && p.logger != nil {
-		p.logger.Printf("writing %d %s error envelope: %v", status, code, err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	p.api.Error(w, status, code, err.Error())
 }

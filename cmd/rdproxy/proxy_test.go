@@ -15,6 +15,7 @@ import (
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/httpapi"
 )
 
 const corpusGraph = "../../testdata/corpus/grid_14x14.edges"
@@ -504,8 +505,10 @@ func TestProxySaturation429(t *testing.T) {
 	h := p.routes()
 
 	// Occupy the single admission slot by hand.
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
+	if !p.api.TryAcquire() {
+		t.Fatal("admission slot not free")
+	}
+	defer p.api.Release()
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/pair?s=0&t=1", nil)
 	rec := httptest.NewRecorder()
@@ -514,8 +517,8 @@ func TestProxySaturation429(t *testing.T) {
 		t.Fatalf("saturated proxy: status %d, want 429", rec.Code)
 	}
 	after, err := strconv.Atoi(rec.Header().Get("Retry-After"))
-	if err != nil || after < retryAfterMin || after > retryAfterMax {
-		t.Fatalf("Retry-After %q, want int in [%d, %d]", rec.Header().Get("Retry-After"), retryAfterMin, retryAfterMax)
+	if err != nil || after < httpapi.RetryAfterMin || after > httpapi.RetryAfterMax {
+		t.Fatalf("Retry-After %q, want int in [%d, %d]", rec.Header().Get("Retry-After"), httpapi.RetryAfterMin, httpapi.RetryAfterMax)
 	}
 	var body map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
@@ -552,6 +555,54 @@ func TestProxyBadRequests(t *testing.T) {
 	}
 	if stubs[0].hits.Load() != 0 {
 		t.Fatal("invalid request reached a replica")
+	}
+}
+
+// TestProxyBatchBodyTooLarge: a batch over the 1 MiB body cap gets the
+// replicas' 413 body_too_large, not a 400 parse error, and reaches no
+// replica.
+func TestProxyBatchBodyTooLarge(t *testing.T) {
+	p, stubs := newTestProxy(t, 1, nil)
+	body := `{"pairs":[` + strings.Repeat(`{"s":0,"t":1},`, 100_000) + `{"s":0,"t":1}]}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	p.routes().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte batch: status %d, want 413 (body %.200s)", len(body), rec.Code, rec.Body.String())
+	}
+	var env httpapi.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "body_too_large" {
+		t.Fatalf("413 envelope %q (%v), want code body_too_large", rec.Body.String(), err)
+	}
+	if stubs[0].hits.Load() != 0 {
+		t.Fatal("oversized batch reached a replica")
+	}
+}
+
+// TestProxyPanicRecovered: a panic in a coordinator handler (here from the
+// injected clock the owner-walk reads under a deadline) is answered with a
+// structured 500 instead of a dropped connection, and ticks panics.
+func TestProxyPanicRecovered(t *testing.T) {
+	p, _ := newTestProxy(t, 1, func(c *proxyConfig) {
+		c.timeout = time.Second
+		c.now = func() time.Time { panic("clock broke") }
+	})
+	ts := httptest.NewServer(p.routes())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/pair?s=3&t=170")
+	if err != nil {
+		t.Fatalf("panicking handler dropped the connection: %v", err)
+	}
+	defer resp.Body.Close()
+	var env httpapi.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("500 body not structured: %v", err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Fatalf("status %d code %q, want 500 internal", resp.StatusCode, env.Error.Code)
+	}
+	if got := p.metrics.Panics.Load(); got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
 	}
 }
 

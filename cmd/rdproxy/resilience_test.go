@@ -234,7 +234,7 @@ func TestDeadlineAwareFailover(t *testing.T) {
 		c.minAttempt = 250 * time.Millisecond
 	})
 	var logBuf bytes.Buffer
-	p.logger = log.New(&logBuf, "", 0)
+	p.api.Logger = log.New(&logBuf, "", 0)
 	h := p.routes()
 	st := p.state.Load()
 

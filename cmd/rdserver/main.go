@@ -51,17 +51,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	landmarkrd "landmarkrd"
-	"landmarkrd/internal/debugsrv"
+	"landmarkrd/internal/httpapi"
 )
 
 func main() {
@@ -81,7 +77,7 @@ func main() {
 		snapshotFlag = flag.String("snapshot", "", "portfolio snapshot file: load if present (v3, or v2 as K=1), else build and save as v3; SIGHUP reloads it")
 		retriesFlag  = flag.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
 		degradeFlag  = flag.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")
-		maxBodyFlag  = flag.Int64("max-body", 1<<20, "max batch request body bytes")
+		maxBodyFlag  = flag.Int64("max-body", httpapi.DefaultMaxBody, "max request body bytes (batch and update)")
 		patchesFlag  = flag.Int("max-patches", 0, "re-base the index after this many live updates (0 = default 64, negative disables)")
 		rebaseFlag   = flag.Duration("rebase-interval", 0, "also re-base pending live updates on this interval (0 disables)")
 		landmarkFlag = flag.String("landmarks", "", "serve exactly these portfolio landmark vertices, comma-separated (a replica's shard subset; implies -portfolio)")
@@ -155,48 +151,14 @@ func run(cfg config) error {
 	landmarkrd.PublishMetrics("landmarkrd.engine", srv.metrics)
 	landmarkrd.PublishMetrics("landmarkrd.solver", landmarkrd.SolverMetrics())
 
-	dbg, err := debugsrv.Start(cfg.debugAddr)
-	if err != nil {
-		return err
-	}
-	if addr := dbg.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "rdserver: debug endpoint on http://%s/debug/vars\n", addr)
-	}
-
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.routes()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// SIGHUP hot-reloads the index snapshot without dropping traffic.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go srv.watchReload(hup)
-
 	// Optional periodic re-base of streamed updates, alongside the
 	// -max-patches count trigger.
+	var loops []func(context.Context)
 	if cfg.server.rebaseInt > 0 {
-		go srv.rebaseLoop(ctx, cfg.server.rebaseInt)
+		loops = append(loops, func(ctx context.Context) { srv.rebaseLoop(ctx, cfg.server.rebaseInt) })
 	}
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "rdserver: shutting down, draining in-flight queries")
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-		defer cancel()
-		err := httpSrv.Shutdown(drainCtx)
-		srv.live.Quiesce() // let an in-flight background re-base finish
-		if dbgErr := dbg.Shutdown(drainCtx); err == nil {
-			err = dbgErr
-		}
-		shutdownErr <- err
-	}()
-
-	fmt.Fprintf(os.Stderr, "rdserver: serving %s queries (landmark %d) on %s\n",
-		method, srv.eng().Landmark(), cfg.addr)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-shutdownErr
+	srv.api.Logger.Printf("serving %s queries (landmark %d) on %s", method, srv.eng().Landmark(), cfg.addr)
+	err = srv.api.Run(cfg.addr, cfg.debugAddr, cfg.drain, srv.routes(), srv.reload, loops...)
+	srv.live.Quiesce() // let an in-flight background re-base finish
+	return err
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/httpapi"
 )
 
 // errorEnvelope mirrors the structured error body every non-2xx response
@@ -137,8 +138,8 @@ func TestSaturation429Envelope(t *testing.T) {
 		t.Errorf("429 Content-Type %q, want application/json", ct)
 	}
 	after, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || after < retryAfterMin || after > retryAfterMax {
-		t.Errorf("Retry-After %q, want an int in [%d, %d]", resp.Header.Get("Retry-After"), retryAfterMin, retryAfterMax)
+	if err != nil || after < httpapi.RetryAfterMin || after > httpapi.RetryAfterMax {
+		t.Errorf("Retry-After %q, want an int in [%d, %d]", resp.Header.Get("Retry-After"), httpapi.RetryAfterMin, httpapi.RetryAfterMax)
 	}
 	var env errorEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
@@ -153,7 +154,7 @@ func TestSaturation429Envelope(t *testing.T) {
 }
 
 // failingWriter is a ResponseWriter whose body writes always fail, forcing
-// json.Encoder.Encode inside writeError to error.
+// json.Encoder.Encode inside the envelope writer to error.
 type failingWriter struct {
 	header http.Header
 	status int
@@ -170,9 +171,9 @@ func (f *failingWriter) Write([]byte) (int, error) {
 func TestWriteErrorLogsEncodeFailure(t *testing.T) {
 	srv := newTestServer(t, serverConfig{})
 	var buf bytes.Buffer
-	srv.logger = log.New(&buf, "", 0)
+	srv.api.Logger = log.New(&buf, "", 0)
 	w := &failingWriter{header: make(http.Header)}
-	srv.writeError(w, http.StatusTooManyRequests, "saturated", "server at capacity")
+	srv.api.Error(w, http.StatusTooManyRequests, "saturated", "server at capacity")
 	if w.status != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", w.status)
 	}

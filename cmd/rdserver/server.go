@@ -2,21 +2,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
-	"log"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/httpapi"
 	"landmarkrd/internal/rcache"
 )
 
@@ -37,7 +34,7 @@ type serverConfig struct {
 	snapshot     string        // portfolio snapshot path; load if present, else build and save
 	retries      int           // per-query attempt budget for transient failures (0 = 1)
 	degradeBelow time.Duration // degrade queries with less deadline than this left
-	maxBody      int64         // batch body byte cap; 0 means 1 MiB
+	maxBody      int64         // request body byte cap; 0 means httpapi.DefaultMaxBody
 	maxPatches   int           // re-base after this many live updates (0 = 64, <0 disables)
 	rebaseInt    time.Duration // periodic re-base interval; 0 disables the ticker
 	landmarks    string        // explicit portfolio landmark vertices ("3,17,42"); a replica's shard subset
@@ -95,29 +92,21 @@ func (c *serverConfig) validate() error {
 	return nil
 }
 
-// Retry-After jitter band for 429 responses, in whole seconds. Randomizing
-// the hint inside [retryAfterMin, retryAfterMax] keeps a herd of rejected
-// clients from re-arriving in the same instant.
-const (
-	retryAfterMin = 1
-	retryAfterMax = 3
-)
-
 // queryServer owns the query-serving state: one epoch-versioned LiveIndex
 // answering every /v1/pair, /v1/batch, /v1/singlesource, and /v1/update
-// request, plus a bounded admission semaphore. Each query pins the current
-// epoch for its whole lifetime, so streamed updates, background re-bases,
-// and SIGHUP reloads never swap state out from under a running query —
-// the superseded epoch retires only after its last pinned query releases
-// it (one lifecycle for hot reloads and live updates alike).
+// request behind the shared protocol's admission gate. Each query pins the
+// current epoch for its whole lifetime, so streamed updates, background
+// re-bases, and SIGHUP reloads never swap state out from under a running
+// query — the superseded epoch retires only after its last pinned query
+// releases it (one lifecycle for hot reloads and live updates alike).
 type queryServer struct {
 	g       *landmarkrd.Graph
 	metrics *landmarkrd.Metrics
 	cfg     serverConfig
 
-	// logger receives operational complaints (failed error-envelope writes,
-	// reload outcomes). Tests swap it to capture output.
-	logger *log.Logger
+	// api is the serving protocol: error envelope, admission gate, probes,
+	// and the process loop.
+	api *httpapi.Server
 
 	// landmarks is the parsed -landmarks shard subset (nil when unset).
 	landmarks []int
@@ -142,15 +131,6 @@ type queryServer struct {
 	// reloadMu serializes reloads (rapid SIGHUPs must not race each other).
 	reloadMu sync.Mutex
 
-	// sem bounds in-flight queries: a slot is acquired without blocking, and
-	// requests that find the server saturated are rejected with 429 rather
-	// than queued — the caller's deadline is better spent retrying elsewhere.
-	sem chan struct{}
-
-	// rng feeds the Retry-After jitter; guarded by rngMu.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	// onAdmit, when non-nil, runs after a query request wins an admission
 	// slot and before it executes. Tests use it to hold a request in flight
 	// deterministically while asserting saturation and drain behavior.
@@ -165,13 +145,12 @@ func newQueryServer(g *landmarkrd.Graph, cfg serverConfig) (*queryServer, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &queryServer{
-		g:       g,
-		metrics: &landmarkrd.Metrics{},
-		cfg:     cfg,
-		logger:  log.New(os.Stderr, "rdserver: ", 0),
-		rng:     rand.New(rand.NewSource(int64(cfg.seed))),
+	inflight := cfg.maxInflight
+	if inflight <= 0 {
+		inflight = 16
 	}
+	s := &queryServer{g: g, metrics: &landmarkrd.Metrics{}, cfg: cfg}
+	s.api = httpapi.New("rdserver", inflight, cfg.timeout, cfg.seed, s.metrics.Panics.Inc)
 	if cfg.landmarks != "" {
 		lms, err := landmarkrd.ParseLandmarkList(cfg.landmarks)
 		if err != nil {
@@ -232,11 +211,6 @@ func newQueryServer(g *landmarkrd.Graph, cfg serverConfig) (*queryServer, error)
 	}
 	s.live = live
 	liveServer.Store(live)
-	inflight := cfg.maxInflight
-	if inflight <= 0 {
-		inflight = 16
-	}
-	s.sem = make(chan struct{}, inflight)
 	s.publishPrecond()
 	s.ready.Store(true)
 	return s, nil
@@ -415,17 +389,6 @@ func (s *queryServer) reload() error {
 	return err
 }
 
-// watchReload drives reload from a signal channel (SIGHUP in production;
-// tests feed the channel directly).
-func (s *queryServer) watchReload(ch <-chan os.Signal) {
-	for range ch {
-		fmt.Fprintln(os.Stderr, "rdserver: SIGHUP, reloading index")
-		if err := s.reload(); err != nil {
-			fmt.Fprintln(os.Stderr, "rdserver: reload failed, keeping current index:", err)
-		}
-	}
-}
-
 // rebaseLoop periodically folds the pending patch stack into a fresh epoch
 // (the -rebase-interval ticker; threshold-triggered re-bases run
 // regardless). Stops when ctx is done.
@@ -447,82 +410,24 @@ func (s *queryServer) rebaseLoop(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// routes builds the server mux with Go 1.22 method patterns: each endpoint
-// registers its method explicitly ("GET /v1/pair" also matches HEAD), and a
-// bare-path fallback turns every other method into the structured JSON 405
-// with an Allow header — the same taxonomy for probes and query endpoints
-// alike, instead of the probes silently answering 200 to any verb. The
-// debug expvar page is mounted here too, so the query port alone is enough
-// to scrape engine stats.
+// routes builds the server's handler on the shared protocol (method
+// patterns with JSON 405s, probes, /debug/vars, panic recovery, admission).
 func (s *queryServer) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("/healthz", s.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("/readyz", s.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("GET /v1/pair", s.admit(s.handlePair))
-	mux.HandleFunc("/v1/pair", s.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("POST /v1/batch", s.admit(s.handleBatch))
-	mux.HandleFunc("/v1/batch", s.methodNotAllowed("POST"))
-	mux.HandleFunc("GET /v1/singlesource", s.admit(s.handleSingleSource))
-	mux.HandleFunc("/v1/singlesource", s.methodNotAllowed("GET, HEAD"))
-	mux.HandleFunc("POST /v1/update", s.admit(s.handleUpdate))
-	mux.HandleFunc("/v1/update", s.methodNotAllowed("POST"))
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/vars", s.methodNotAllowed("GET, HEAD"))
-	return s.recoverer(mux)
-}
-
-// methodNotAllowed answers the JSON 405 envelope with an explicit Allow
-// header. It backs the bare-path patterns above, which the mux only reaches
-// when no method pattern matched.
-func (s *queryServer) methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, allow))
-	}
-}
-
-// recoverer is the outermost middleware: a panic that escapes a handler is
-// recovered into a structured 500 instead of killing the connection (the
-// engine's workers isolate their own panics; this is the last line of
-// defense for the HTTP layer itself).
-func (s *queryServer) recoverer(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				s.metrics.Panics.Inc()
-				s.writeError(w, http.StatusInternalServerError, "internal",
-					fmt.Sprintf("internal error: %v", v))
-			}
-		}()
-		next.ServeHTTP(w, r)
+	return s.api.Routes(s.notReady, map[string]http.HandlerFunc{
+		"GET /v1/pair":         s.pressure(s.handlePair),
+		"POST /v1/batch":       s.pressure(s.handleBatch),
+		"GET /v1/singlesource": s.pressure(s.handleSingleSource),
+		"POST /v1/update":      s.pressure(s.handleUpdate),
 	})
 }
 
-// errorBody is the structured error envelope every non-2xx response uses.
-type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// writeError emits the structured JSON error envelope. An encode failure
-// after the status line is already on the wire cannot be reported to the
-// client, but it must not vanish either — the server's logger gets it (a
-// half-written envelope is a client-visible protocol violation worth an
-// operator's attention).
-func (s *queryServer) writeError(w http.ResponseWriter, status int, code, msg string) {
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = msg
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil && s.logger != nil {
-		s.logger.Printf("writing %d %s error envelope: %v", status, code, err)
+// notReady is the /readyz reason: not ready until the first epoch is
+// built, and again while a reload is in progress.
+func (s *queryServer) notReady() (code, msg string) {
+	if !s.ready.Load() {
+		return "not_ready", "index loading or reloading"
 	}
+	return "", ""
 }
 
 // degradeKey marks a request the admission layer wants answered by the
@@ -538,62 +443,19 @@ func forceDegrade(ctx context.Context) bool {
 	return v
 }
 
-// admit wraps a query handler with admission control and the per-request
-// deadline. Saturation is answered immediately with 429 plus a jittered
-// Retry-After; an admitted request that finds the server under pressure
-// (three quarters of the admission slots taken) is flagged for the degraded
-// tier instead of being rejected. An admitted request runs under a context
-// that cancels when either the client disconnects or the configured timeout
-// elapses, which the kernels observe mid-solve.
-func (s *queryServer) admit(h http.HandlerFunc) http.HandlerFunc {
+// pressure runs inside the admission gate: an admitted request that finds
+// three quarters of the slots taken (its own included) is flagged for the
+// degraded tier instead of starting exact work that may miss its deadline.
+func (s *queryServer) pressure(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.rngMu.Lock()
-			after := retryAfterMin + s.rng.Intn(retryAfterMax-retryAfterMin+1)
-			s.rngMu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-			s.writeError(w, http.StatusTooManyRequests, "saturated", "server at capacity")
-			return
-		}
 		if s.onAdmit != nil {
 			s.onAdmit()
 		}
-		ctx := r.Context()
-		// Pressure check after taking our own slot: at or beyond 3/4
-		// occupancy the remaining budget is better spent on cheap degraded
-		// answers than on exact work that may miss its deadline.
-		if cap(s.sem) >= 4 && len(s.sem) >= 3*cap(s.sem)/4 {
-			ctx = context.WithValue(ctx, degradeKey, true)
+		if taken, slots := s.api.Occupancy(); slots >= 4 && taken >= 3*slots/4 {
+			r = r.WithContext(context.WithValue(r.Context(), degradeKey, true))
 		}
-		if s.cfg.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
-			defer cancel()
-		}
-		h(w, r.WithContext(ctx))
+		h(w, r)
 	}
-}
-
-// handleHealthz is the liveness probe: it answers 200 as long as the
-// process can serve HTTP at all.
-func (s *queryServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is the readiness probe: 200 only when the engine and index
-// are built and no reload is in progress; 503 otherwise, telling the load
-// balancer to route new traffic elsewhere without killing the process.
-func (s *queryServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "not_ready", "index loading or reloading")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
 }
 
 // batchPairs runs the batch through the pinned epoch's engine, honoring a
@@ -605,20 +467,14 @@ func batchPairs(ctx context.Context, ep *landmarkrd.LiveEpoch, queries []landmar
 	return ep.PairsContext(ctx, queries)
 }
 
-// errNotShareable marks a leader's non-cacheable answer (degraded, failed,
-// or unconverged) inside a cache flight: concurrent waiters must not adopt
-// the bare value — it would lose the degraded flag and error bound — so
-// each recomputes its own.
-var errNotShareable = errors.New("rdserver: result not shareable")
-
 // solvePair answers one pair query, through the result cache when one is
 // configured. The cache key carries the pinned epoch's graph fingerprint,
 // so an answer computed on a superseded epoch can never be served after a
 // re-base or reload — the new epoch's queries simply look up a different
-// key. Only clean answers (no error, not degraded, converged) are stored
-// or shared between concurrent identical requests. The returned string is
-// the cache outcome ("hit", "miss", "shared"), or empty when the cache was
-// disabled or bypassed.
+// key. Only clean answers (no error, not degraded, converged) are shareable:
+// rcache stores them and hands them to concurrent identical requests. The
+// returned string is the cache outcome ("hit", "miss", "shared"), or empty
+// when the cache was disabled or bypassed.
 func (s *queryServer) solvePair(ctx context.Context, ep *landmarkrd.LiveEpoch, q landmarkrd.PairQuery) (landmarkrd.PairResult, string, error) {
 	if s.cache == nil || forceDegrade(ctx) {
 		// Load-shed degraded answers bypass the cache entirely: they must
@@ -631,35 +487,18 @@ func (s *queryServer) solvePair(ctx context.Context, ep *landmarkrd.LiveEpoch, q
 	var have bool
 	v, out, err := s.cache.Do(ctx, key, func() (float64, bool, error) {
 		res, err := s.solvePairDirect(ctx, ep, q)
-		if err != nil {
-			return 0, false, err
-		}
-		full, have = res, true
-		if res.Err == nil && !res.Degraded && res.Estimate.Converged {
-			return res.Estimate.Value, true, nil
-		}
-		return 0, false, errNotShareable
+		full, have = res, err == nil
+		return res.Estimate.Value, res.Err == nil && !res.Degraded && res.Estimate.Converged, err
 	})
 	switch {
-	case err == nil:
-		if have {
-			return full, out.String(), nil
-		}
+	case err != nil:
+		return landmarkrd.PairResult{}, "", err
+	case !have:
 		// Hit or Shared: only clean converged values are ever stored or
 		// shared, so the bare float reconstructs the full answer.
-		return landmarkrd.PairResult{
-			PairQuery: q,
-			Estimate:  landmarkrd.Estimate{Value: v, Converged: true},
-		}, out.String(), nil
-	case errors.Is(err, errNotShareable):
-		if have {
-			return full, out.String(), nil // the leader's own degraded/failed answer
-		}
-		res, derr := s.solvePairDirect(ctx, ep, q) // waiter recomputes its own
-		return res, "", derr
-	default:
-		return landmarkrd.PairResult{}, "", err
+		full = landmarkrd.PairResult{PairQuery: q, Estimate: landmarkrd.Estimate{Value: v, Converged: true}}
 	}
+	return full, out.String(), nil
 }
 
 func (s *queryServer) solvePairDirect(ctx context.Context, ep *landmarkrd.LiveEpoch, q landmarkrd.PairQuery) (landmarkrd.PairResult, error) {
@@ -694,13 +533,13 @@ func (s *queryServer) handlePair(w http.ResponseWriter, r *http.Request) {
 	// this one drains on a consistent snapshot.
 	ep := s.live.Pin()
 	defer ep.Release()
-	st, err := parsePair(r, ep.Graph())
+	sv, tv, err := httpapi.PairParams(r, ep.Graph().N())
 	if err != nil {
-		s.writeRequestError(w, err)
+		s.api.RequestError(w, err)
 		return
 	}
 	start := time.Now()
-	res, cacheOutcome, err := s.solvePair(r.Context(), ep, st)
+	res, cacheOutcome, err := s.solvePair(r.Context(), ep, landmarkrd.PairQuery{S: sv, T: tv})
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -729,49 +568,19 @@ func (s *queryServer) handlePair(w http.ResponseWriter, r *http.Request) {
 	if pf := ep.Portfolio(); pf != nil {
 		resp.Portfolio = pf.Landmarks
 	}
-	writeJSON(w, resp)
-}
-
-type batchRequest struct {
-	Pairs []struct {
-		S int `json:"s"`
-		T int `json:"t"`
-	} `json:"pairs"`
+	httpapi.WriteJSON(w, resp)
 }
 
 func (s *queryServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ep := s.live.Pin()
 	defer ep.Release()
-	maxBody := s.cfg.maxBody
-	if maxBody <= 0 {
-		maxBody = 1 << 20 // 1 MiB default
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("batch body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
+	pairs, err := httpapi.DecodePairs(w, r, s.cfg.maxBody, ep.Graph().N())
+	if err != nil {
+		s.api.RequestError(w, err)
 		return
 	}
-	if len(req.Pairs) == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "empty batch")
-		return
-	}
-	queries := make([]landmarkrd.PairQuery, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if err := validVertex(ep.Graph(), p.S); err != nil {
-			s.writeRequestError(w, fmt.Errorf("pairs[%d].s: %w", i, err))
-			return
-		}
-		if err := validVertex(ep.Graph(), p.T); err != nil {
-			s.writeRequestError(w, fmt.Errorf("pairs[%d].t: %w", i, err))
-			return
-		}
+	queries := make([]landmarkrd.PairQuery, len(pairs))
+	for i, p := range pairs {
 		queries[i] = landmarkrd.PairQuery{S: p.S, T: p.T}
 	}
 	start := time.Now()
@@ -797,7 +606,7 @@ func (s *queryServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, res := range results {
 		out.Results = append(out.Results, toPairResponse(res))
 	}
-	writeJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
 func (s *queryServer) handleSingleSource(w http.ResponseWriter, r *http.Request) {
@@ -808,17 +617,16 @@ func (s *queryServer) handleSingleSource(w http.ResponseWriter, r *http.Request)
 	defer ep.Release()
 	pf := ep.Portfolio()
 	if pf == nil {
-		s.writeError(w, http.StatusNotImplemented, "no_index",
+		s.api.Error(w, http.StatusNotImplemented, "no_index",
 			"no landmark index configured (start with -index-mode exact|mc|sketch)")
 		return
 	}
-	src, err := intParam(r, "s")
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
+	src, err := httpapi.IntParam(r, "s")
+	if err == nil {
+		err = httpapi.Vertex(src, ep.Graph().N())
 	}
-	if err := validVertex(ep.Graph(), src); err != nil {
-		s.writeRequestError(w, err)
+	if err != nil {
+		s.api.RequestError(w, err)
 		return
 	}
 	start := time.Now()
@@ -829,7 +637,7 @@ func (s *queryServer) handleSingleSource(w http.ResponseWriter, r *http.Request)
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, struct {
+	httpapi.WriteJSON(w, struct {
 		S         int       `json:"s"`
 		Landmark  int       `json:"landmark"`
 		Epoch     uint64    `json:"epoch"`
@@ -860,18 +668,13 @@ type updateRequest struct {
 // rejected with 503 so the incoming snapshot stays authoritative.
 func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "not_ready",
+		s.api.Error(w, http.StatusServiceUnavailable, "not_ready",
 			"reload in progress; retry the update once the server is ready")
 		return
 	}
-	maxBody := s.cfg.maxBody
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
+	if err := httpapi.DecodeJSON(w, r, s.cfg.maxBody, &req); err != nil {
+		s.api.RequestError(w, err)
 		return
 	}
 	var op landmarkrd.UpdateOp
@@ -881,7 +684,7 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	case "remove":
 		op = landmarkrd.UpdateRemoveEdge
 	default:
-		s.writeError(w, http.StatusBadRequest, "bad_request",
+		s.api.Error(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("unknown op %q (want \"add\" or \"remove\")", req.Op))
 		return
 	}
@@ -889,7 +692,7 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		req.Weight = 1
 	}
 	if !(req.Weight > 0) || math.IsInf(req.Weight, 0) {
-		s.writeError(w, http.StatusBadRequest, "bad_request",
+		s.api.Error(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("weight must be positive and finite, got %v", req.Weight))
 		return
 	}
@@ -899,12 +702,12 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	n := ep.Graph().N()
 	ep.Release()
 	if req.S < 0 || req.S >= n || req.T < 0 || req.T >= n {
-		s.writeError(w, http.StatusUnprocessableEntity, "vertex_out_of_range",
+		s.api.Error(w, http.StatusUnprocessableEntity, "vertex_out_of_range",
 			fmt.Sprintf("vertices (%d,%d) not in [0, %d)", req.S, req.T, n))
 		return
 	}
 	if req.S == req.T {
-		s.writeError(w, http.StatusUnprocessableEntity, "self_loop",
+		s.api.Error(w, http.StatusUnprocessableEntity, "self_loop",
 			fmt.Sprintf("self loop (%d,%d)", req.S, req.T))
 		return
 	}
@@ -914,13 +717,13 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		if errors.Is(err, landmarkrd.ErrDisconnecting) {
-			s.writeError(w, http.StatusUnprocessableEntity, "disconnecting", err.Error())
+			s.api.Error(w, http.StatusUnprocessableEntity, "disconnecting", err.Error())
 			return
 		}
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, struct {
+	httpapi.WriteJSON(w, struct {
 		Op              string  `json:"op"`
 		S               int     `json:"s"`
 		T               int     `json:"t"`
@@ -941,22 +744,6 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// errOutOfRange marks vertex-id validation failures: the request is
-// well-formed JSON/query-string but semantically unanswerable, which maps
-// to 422 rather than 400.
-var errOutOfRange = errors.New("vertex out of range")
-
-// writeRequestError maps request parsing/validation failures: syntactically
-// broken input is a 400; well-formed input naming an impossible vertex is a
-// 422 with the same structured body.
-func (s *queryServer) writeRequestError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errOutOfRange) {
-		s.writeError(w, http.StatusUnprocessableEntity, "vertex_out_of_range", err.Error())
-		return
-	}
-	s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-}
-
 // writeQueryError maps a failed query to an HTTP status: a deadline that
 // expired mid-solve is a 504 (the server gave up, not the client), a
 // client-side cancellation gets the nginx-style 499, an unanswerable query
@@ -965,55 +752,18 @@ func (s *queryServer) writeRequestError(w http.ResponseWriter, err error) {
 func (s *queryServer) writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusGatewayTimeout, "deadline_exceeded",
+		s.api.Error(w, http.StatusGatewayTimeout, "deadline_exceeded",
 			"query exceeded the server time budget: "+err.Error())
 	case errors.Is(err, landmarkrd.ErrCanceled):
-		s.writeError(w, 499, "canceled", "query canceled: "+err.Error())
+		s.api.Error(w, 499, "canceled", "query canceled: "+err.Error())
 	case errors.Is(err, landmarkrd.ErrDisconnected):
-		s.writeError(w, http.StatusUnprocessableEntity, "disconnected", err.Error())
+		s.api.Error(w, http.StatusUnprocessableEntity, "disconnected", err.Error())
 	case errors.Is(err, landmarkrd.ErrInternal):
-		s.writeError(w, http.StatusInternalServerError, "internal",
+		s.api.Error(w, http.StatusInternalServerError, "internal",
 			"internal error (worker panic recovered): "+err.Error())
 	default:
-		s.writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		s.api.Error(w, http.StatusInternalServerError, "internal", err.Error())
 	}
-}
-
-func parsePair(r *http.Request, g *landmarkrd.Graph) (landmarkrd.PairQuery, error) {
-	sv, err := intParam(r, "s")
-	if err != nil {
-		return landmarkrd.PairQuery{}, err
-	}
-	tv, err := intParam(r, "t")
-	if err != nil {
-		return landmarkrd.PairQuery{}, err
-	}
-	if err := validVertex(g, sv); err != nil {
-		return landmarkrd.PairQuery{}, err
-	}
-	if err := validVertex(g, tv); err != nil {
-		return landmarkrd.PairQuery{}, err
-	}
-	return landmarkrd.PairQuery{S: sv, T: tv}, nil
-}
-
-func validVertex(g *landmarkrd.Graph, v int) error {
-	if v < 0 || v >= g.N() {
-		return fmt.Errorf("%w: vertex %d not in [0, %d)", errOutOfRange, v, g.N())
-	}
-	return nil
-}
-
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("query parameter %q: %v", name, err)
-	}
-	return v, nil
 }
 
 func toPairResponse(res landmarkrd.PairResult) pairResponse {
@@ -1027,11 +777,4 @@ func toPairResponse(res landmarkrd.PairResult) pairResponse {
 		out.Err = res.Err.Error()
 	}
 	return out
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -20,6 +20,7 @@ import (
 
 	landmarkrd "landmarkrd"
 	"landmarkrd/internal/faultinject"
+	"landmarkrd/internal/httpapi"
 )
 
 const corpusGraph = "../../testdata/corpus/grid_14x14.edges"
@@ -541,8 +542,8 @@ func TestRetryAfterJitterBand(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: unparseable Retry-After %q", i, resp.Header.Get("Retry-After"))
 		}
-		if after < retryAfterMin || after > retryAfterMax {
-			t.Errorf("request %d: Retry-After %d outside [%d, %d]", i, after, retryAfterMin, retryAfterMax)
+		if after < httpapi.RetryAfterMin || after > httpapi.RetryAfterMax {
+			t.Errorf("request %d: Retry-After %d outside [%d, %d]", i, after, httpapi.RetryAfterMin, httpapi.RetryAfterMax)
 		}
 	}
 }
@@ -558,11 +559,13 @@ func TestDegradedUnderPressure(t *testing.T) {
 	// Occupy 3 of 4 slots; with this request's own slot the occupancy hits
 	// the 3/4 pressure threshold.
 	for i := 0; i < 3; i++ {
-		srv.sem <- struct{}{}
+		if !srv.api.TryAcquire() {
+			t.Fatal("admission slot not free")
+		}
 	}
 	defer func() {
 		for i := 0; i < 3; i++ {
-			<-srv.sem
+			srv.api.Release()
 		}
 	}()
 
@@ -697,7 +700,7 @@ func TestSighupReloadUnderLoad(t *testing.T) {
 	watcherDone := make(chan struct{})
 	go func() {
 		defer close(watcherDone)
-		srv.watchReload(hup)
+		srv.api.WatchReload(hup, srv.reload)
 	}()
 
 	stop := make(chan struct{})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/httpapi"
 )
 
 func postUpdate(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -57,7 +58,7 @@ func TestUpdateEndpointTable(t *testing.T) {
 				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.status, raw)
 			}
 			if tc.code != "" {
-				var body errorBody
+				var body httpapi.ErrorBody
 				if err := json.Unmarshal(raw, &body); err != nil {
 					t.Fatalf("error response not structured: %v (%s)", err, raw)
 				}
@@ -101,6 +102,27 @@ func TestUpdateEndpointTable(t *testing.T) {
 	}
 }
 
+// TestUpdateBodyTooLarge: an update body over -max-body gets the same 413
+// body_too_large as an oversized batch, and nothing lands on the patch
+// stack.
+func TestUpdateBodyTooLarge(t *testing.T) {
+	srv := newTestServer(t, serverConfig{indexMode: "exact", maxBody: 64, timeout: 30 * time.Second})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	resp, raw := postUpdate(t, ts.URL, `{"op":"add","s":0,"t":37,"weight":0.5,"note":"`+strings.Repeat("x", 64)+`"}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized update: status %d, want 413 (body %s)", resp.StatusCode, raw)
+	}
+	var body httpapi.ErrorBody
+	if err := json.Unmarshal(raw, &body); err != nil || body.Error.Code != "body_too_large" {
+		t.Fatalf("413 envelope %s (%v), want code body_too_large", raw, err)
+	}
+	if got := srv.live.PendingPatches(); got != 0 {
+		t.Errorf("oversized update left %d patches on the stack", got)
+	}
+}
+
 // TestUpdateDisconnectingRejected proves a removal that would cut the graph
 // is rejected with 422 and the typed "disconnecting" code, on both the
 // indexed (Sherman-Morrison guard) and index-free (dynamic updater) paths.
@@ -128,7 +150,7 @@ func TestUpdateDisconnectingRejected(t *testing.T) {
 			if resp.StatusCode != http.StatusUnprocessableEntity {
 				t.Fatalf("bridge removal: status %d, want 422 (body %s)", resp.StatusCode, raw)
 			}
-			var body errorBody
+			var body httpapi.ErrorBody
 			if err := json.Unmarshal(raw, &body); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +177,7 @@ func TestUpdateDuringReloadRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("update while not ready: status %d, want 503 (body %s)", resp.StatusCode, raw)
 	}
-	var body errorBody
+	var body httpapi.ErrorBody
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,10 @@ type entry struct {
 
 // flight is one in-progress compute other callers can wait on.
 type flight struct {
-	done chan struct{}
-	val  float64
-	err  error
+	done    chan struct{}
+	val     float64
+	err     error
+	private bool // the leader's answer was not shareable
 }
 
 type shard struct {
@@ -183,10 +184,13 @@ func (s *shard) storeLocked(c *Cache, k Key, v float64) {
 
 // Do answers the query for k: from the cache (Hit), by waiting on a
 // concurrent identical call (Shared), or by running fn (Miss). fn returns
-// the value, whether it is cacheable (an exact/converged answer; degraded
-// or partial answers pass false and are returned without being stored), and
-// an error. Errors are never cached; every waiter of a failed flight gets
-// the leader's error and the next call recomputes.
+// the value, whether it is shareable (an exact, converged answer), and an
+// error. A shareable answer is stored and handed to every waiter. One that
+// is not (degraded, unconverged) goes to the leader alone and is not
+// stored: every waiter on that flight then runs its own fn, concurrently
+// and without a new flight, and counts as a Miss. Errors are never cached;
+// every waiter of a failed flight gets the leader's error and the next call
+// recomputes.
 //
 // ctx bounds only the wait of a Shared caller — fn itself is responsible
 // for honoring its own context. A Shared caller whose ctx expires returns
@@ -205,21 +209,26 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (float64, bool, error))
 		s.mu.Unlock()
 		select {
 		case <-fl.done:
-			c.metrics.CacheShared.Inc()
-			return fl.val, Shared, fl.err
 		case <-ctx.Done():
 			return 0, Shared, context.Cause(ctx)
 		}
+		if fl.private {
+			v, _, err := fn()
+			c.metrics.CacheMisses.Inc()
+			return v, Miss, err
+		}
+		c.metrics.CacheShared.Inc()
+		return fl.val, Shared, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.flights[k] = fl
 	s.mu.Unlock()
 
-	v, store, err := fn()
-	fl.val, fl.err = v, err
+	v, shareable, err := fn()
+	fl.val, fl.err, fl.private = v, err, err == nil && !shareable
 
 	s.mu.Lock()
-	if store && err == nil {
+	if shareable && err == nil {
 		s.storeLocked(c, k, v)
 	}
 	delete(s.flights, k)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"landmarkrd/internal/obs"
 )
@@ -193,6 +194,70 @@ func TestSingleflightStorm(t *testing.T) {
 	if m.CacheHits.Load()+m.CacheShared.Load() != workers-1 {
 		t.Errorf("CacheHits+CacheShared = %d, want %d",
 			m.CacheHits.Load()+m.CacheShared.Load(), workers-1)
+	}
+}
+
+// TestUnshareableAnswerStaysWithItsCaller: when the leader's answer is not
+// shareable (degraded, unconverged), no waiter adopts it — each runs fn
+// itself and gets its own value, counted as a miss, never as shared.
+func TestUnshareableAnswerStaysWithItsCaller(t *testing.T) {
+	m := &obs.Metrics{}
+	c := New(64, m)
+	ctx := context.Background()
+	key := NewKey(7, 1, 2)
+	const callers = 16
+
+	var calls atomic.Int64
+	values := make([]float64, callers)
+	outcomes := make([]Outcome, callers)
+	do := func(i int, before func()) {
+		v, out, err := c.Do(ctx, key, func() (float64, bool, error) {
+			calls.Add(1)
+			if before != nil {
+				before()
+			}
+			return float64(i), false, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		values[i], outcomes[i] = v, out
+	}
+
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	go func() {
+		defer wg.Done()
+		do(0, func() { close(inFlight); <-release })
+	}()
+	<-inFlight
+	for i := 1; i < callers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			do(i, nil)
+		}(i)
+	}
+	// Give the waiters time to join the leader's flight. The assertions
+	// hold at any interleaving — a caller arriving after the flight leads
+	// its own — the pause keeps the test sensitive to answers being shared.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	if got := calls.Load(); got != callers {
+		t.Errorf("fn ran %d times for %d callers, want once per caller", got, callers)
+	}
+	for i := range values {
+		if values[i] != float64(i) || outcomes[i] != Miss {
+			t.Errorf("caller %d got (%g, %v), want its own value (%d, miss)", i, values[i], outcomes[i], i)
+		}
+	}
+	if m.CacheMisses.Load() != callers || m.CacheShared.Load() != 0 {
+		t.Errorf("CacheMisses=%d CacheShared=%d, want %d and 0", m.CacheMisses.Load(), m.CacheShared.Load(), callers)
+	}
+	if c.Len() != 0 {
+		t.Errorf("an unshareable answer was stored (%d entries)", c.Len())
 	}
 }
 
