@@ -172,21 +172,40 @@ const (
 	Push
 	// BiPush is the bidirectional estimator (recommended default).
 	BiPush
+	// Auto lets a batch engine choose, once per engine, between routed
+	// BiPush and one exact grounded solve per pair, whichever a seeded work
+	// pilot models as cheaper on the engine's graph (see Plan). Only
+	// NewBatchEngine (and so Pairs and every LiveIndex epoch) resolves it;
+	// the single-estimator constructors reject it.
+	Auto
 )
+
+// methodNames is the one table of method names: String, ParseMethod and
+// the cmd tools' -method flags all read it.
+var methodNames = []string{AbWalk: "abwalk", Push: "push", BiPush: "bipush", Auto: "auto"}
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
-	switch m {
-	case AbWalk:
-		return "abwalk"
-	case Push:
-		return "push"
-	case BiPush:
-		return "bipush"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
+	if m >= 0 && int(m) < len(methodNames) {
+		return methodNames[m]
 	}
+	return fmt.Sprintf("method(%d)", int(m))
 }
+
+// ParseMethod parses "abwalk", "push", "bipush", or "auto" (the -method
+// flag syntax of the cmd tools).
+func ParseMethod(s string) (Method, error) {
+	for m, name := range methodNames {
+		if s == name {
+			return Method(m), nil
+		}
+	}
+	return 0, fmt.Errorf("landmarkrd: unknown method %q (want abwalk, push, bipush, or auto)", s)
+}
+
+// errAutoEstimator is returned by the single-estimator constructors for
+// Auto, which only a batch engine can resolve.
+var errAutoEstimator = errors.New("landmarkrd: method auto needs a batch engine to plan it; use NewBatchEngine or NewLiveIndex, or pick abwalk, push, or bipush")
 
 // Strategy re-exports the landmark selection strategies.
 type Strategy = core.Strategy
@@ -275,6 +294,8 @@ func NewEstimatorAt(g *Graph, m Method, landmark int, opts Options) (*Estimator,
 			PushTheta: opts.Theta, Walks: opts.Walks,
 			MaxSteps: opts.MaxSteps, MaxOps: opts.MaxOps,
 		}, rng)
+	case Auto:
+		return nil, errAutoEstimator
 	default:
 		return nil, fmt.Errorf("landmarkrd: unknown method %v", m)
 	}

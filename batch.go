@@ -13,6 +13,7 @@ import (
 	"landmarkrd/internal/faultinject"
 	"landmarkrd/internal/guard"
 	"landmarkrd/internal/lap"
+	"landmarkrd/internal/obs"
 	"landmarkrd/internal/randx"
 	"landmarkrd/internal/retry"
 )
@@ -92,9 +93,10 @@ type BatchOptions struct {
 	// The zero value, ConflictExact, falls back to the exact solver.
 	OnConflict ConflictPolicy
 	// Metrics, when non-nil, is the shared observability sink for the
-	// batch: every worker estimator records into it, and the engine
-	// counts estimator builds and exact fallbacks there. When nil the
-	// engine allocates its own (readable via BatchEngine.Stats).
+	// batch: every worker estimator and every exact solve records into
+	// it, and the engine counts estimator builds, exact fallbacks and
+	// planned exact answers there. When nil the engine allocates its own
+	// (readable via BatchEngine.Stats).
 	Metrics *Metrics
 	// MaxAttempts is the per-query attempt budget for transient failures
 	// (default 1 = no retries). The first attempt draws from exactly the
@@ -112,7 +114,9 @@ type BatchOptions struct {
 	// with less than this much context deadline remaining is answered by
 	// the degraded Monte Carlo tier — a low-walk absorbed-walk estimate
 	// with a conservative error bound — and marked Degraded, instead of
-	// starting exact/CG work it cannot finish. Zero disables the check.
+	// starting exact/CG work it cannot finish. Zero disables the check. An
+	// engine whose Plan is exact answers such queries exactly, as in
+	// DegradedPairsContext.
 	DegradeBelow time.Duration
 	// DegradedWalks is the degraded tier's per-endpoint walk budget
 	// (default 128).
@@ -132,7 +136,8 @@ type BatchOptions struct {
 // not shared between in-flight workers.
 type BatchEngine struct {
 	g         *Graph
-	method    Method
+	method    Method // the walk path's estimator (Auto resolves to BiPush)
+	plan      Plan
 	opts      BatchOptions
 	landmark  int
 	portfolio *PortfolioIndex
@@ -176,7 +181,8 @@ func (f *freeList[T]) put(x T) {
 }
 
 // NewBatchEngine validates opts, selects the landmark, and prepares the
-// shared immutable state every pooled estimator reads.
+// shared immutable state every pooled estimator reads. With Auto it also
+// runs the method planner's pilot and fixes the engine's Plan.
 func NewBatchEngine(g *Graph, m Method, opts BatchOptions) (*BatchEngine, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err
@@ -216,16 +222,24 @@ func NewBatchEngine(g *Graph, m Method, opts BatchOptions) (*BatchEngine, error)
 	if metrics == nil {
 		metrics = &Metrics{}
 	}
-	return &BatchEngine{
+	e := &BatchEngine{
 		g:         g,
 		method:    m,
+		plan:      Plan{Path: m.String()},
 		opts:      opts,
 		landmark:  landmark,
 		portfolio: opts.Portfolio,
 		seed:      seed,
 		idle:      make([]freeList[*Estimator], pools),
 		metrics:   metrics,
-	}, nil
+	}
+	if m == Auto {
+		e.method = BiPush
+		if err := e.planAuto(); err != nil {
+			return nil, fmt.Errorf("landmarkrd: method planner pilot: %w", err)
+		}
+	}
+	return e, nil
 }
 
 // Landmark returns the landmark vertex every batch query uses; with a
@@ -240,9 +254,14 @@ func (e *BatchEngine) Graph() *Graph { return e.g }
 func (e *BatchEngine) Portfolio() *PortfolioIndex { return e.portfolio }
 
 // Stats snapshots the engine's shared metrics: queries, push ops, walk
-// steps, estimator builds (pool misses), exact fallbacks, and latency/work
-// histograms aggregated over every worker.
+// steps, estimator builds (pool misses), exact fallbacks, planned exact
+// answers, CG solves, and latency/work histograms aggregated over every
+// worker.
 func (e *BatchEngine) Stats() Stats { return e.metrics.Snapshot() }
+
+// Plan returns how the engine answers pairs: the pinned method, or the
+// path the Auto pilot chose with the pilot's modelled work.
+func (e *BatchEngine) Plan() Plan { return e.plan }
 
 // landmarkAt returns the landmark vertex of portfolio position j (always
 // the engine landmark without a portfolio).
@@ -457,6 +476,16 @@ func (e *BatchEngine) attemptDegraded(ctx context.Context, w *batchWorker, q Pai
 // landmark-conflict fallback. It returns a non-nil error only for
 // batch-fatal conditions (cancellation, estimator construction failure).
 func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, q PairQuery, degrade bool, out *PairResult) error {
+	if e.plan.Path == pathExact {
+		// Left for the grouped exact solve pairs() runs once the workers
+		// finish (see resolveExact), even when degrade is set: a shed query
+		// then costs no more than any other, while on road-like graphs the
+		// degraded tier's walks cost several solves and carry error
+		// (DESIGN.md §10).
+		out.Attempts = 1
+		out.Err = errPlannedExact
+		return nil
+	}
 	qseed := e.seed + uint64(i+1)*0x9e3779b97f4a7c15
 	maxAttempts := e.opts.MaxAttempts
 	if maxAttempts <= 0 {
@@ -513,7 +542,7 @@ func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinj
 	// Landmark conflicts under ConflictExact are NOT resolved here: the
 	// worker leaves the conflict error in the result and pairs() answers
 	// all of them afterwards in one grouped multi-RHS exact solve (see
-	// resolveConflictsExact). Sentinels may arrive wrapped, so downstream
+	// resolveExact). Sentinels may arrive wrapped, so downstream
 	// matching uses errors.Is rather than ==.
 	if degraded && err == nil {
 		out.Degraded = true
@@ -547,22 +576,29 @@ func (e *BatchEngine) PairsContext(ctx context.Context, queries []PairQuery) ([]
 // DegradedPairsContext answers every query with the degraded Monte Carlo
 // tier regardless of the deadline — the load-shedding entry point the
 // server uses when admission pressure is high. Every successful result is
-// marked Degraded and carries its error bound in Estimate.ErrBound.
+// marked Degraded and carries its error bound in Estimate.ErrBound. An
+// engine whose Plan is exact answers exactly instead, unmarked: a shed
+// query then costs no more than any other, while on road-like graphs the
+// degraded tier's walks cost several exact solves (DESIGN.md §10).
 func (e *BatchEngine) DegradedPairsContext(ctx context.Context, queries []PairQuery) ([]PairResult, error) {
 	return e.pairs(ctx, queries, true)
+}
+
+// workers is the batch worker count for jobs independent units of work:
+// Workers (default GOMAXPROCS), capped at jobs.
+func (e *BatchEngine) workers(jobs int) int {
+	workers := e.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, jobs)
 }
 
 func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegraded bool) ([]PairResult, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	workers := e.workers(len(queries))
 
 	done := cancel.Done(ctx)
 	var deadline time.Time
@@ -614,28 +650,48 @@ func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegra
 			return nil, err
 		}
 	}
-	if e.opts.OnConflict == ConflictExact {
-		if err := e.resolveConflictsExact(ctx, results); err != nil {
-			return nil, err
-		}
+	if err := e.resolveExact(ctx, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// resolveConflictsExact answers every pending landmark-conflict result with
-// the exact CG solver, grouping queries that share a grounding vertex into
-// one multi-RHS block solve (one operator sweep per iteration for the whole
-// group) instead of one independent solve per query. Each answer is
-// bit-for-bit what the inline ExactContext fallback would have produced:
-// the grounding vertex, right-hand side, tolerance, and CG recurrence are
-// identical per pair. Groups are processed in first-appearance order, so
-// the pass is deterministic. It returns a non-nil error only for
-// batch-fatal conditions (cancellation).
-func (e *BatchEngine) resolveConflictsExact(ctx context.Context, results []PairResult) error {
+// errPlannedExact marks a result the plan sends to the grouped exact
+// solve; resolveExact always replaces it before the batch returns.
+var errPlannedExact = errors.New("landmarkrd: pending planned exact solve")
+
+// pendingExact reports whether a result waits for the exact solver: the
+// plan sent it there, or it hit a landmark under ConflictExact.
+func (e *BatchEngine) pendingExact(err error) bool {
+	return errors.Is(err, errPlannedExact) ||
+		(e.opts.OnConflict == ConflictExact && errors.Is(err, ErrLandmarkConflict))
+}
+
+// exactBlockRHS bounds the pairs one grouped exact solve advances
+// together. A block solve holds about seven n-vectors per column (the
+// right-hand side, its staged copy, the solution, and four CG workspace
+// vectors), and under the exact plan nearly every pair of a batch grounds
+// at the same vertex, so an unbounded block would hold 56·n bytes per pair
+// of the batch at once. Eight columns already take the sweep-sharing gain
+// (the BlockCG k=8 benchmark in results/README.md), as in the diagonal
+// index build.
+const exactBlockRHS = 8
+
+// exactBlock is one grouped exact solve: up to exactBlockRHS result
+// indices whose pairs share the grounding vertex ground.
+type exactBlock struct {
+	ground int
+	idxs   []int
+}
+
+// exactBlocks collects the results pending an exact solve into blocks:
+// pairs grouped by grounding vertex in first-appearance order, each group
+// cut into runs of at most exactBlockRHS.
+func (e *BatchEngine) exactBlocks(results []PairResult) []exactBlock {
 	groups := make(map[int][]int)
 	var order []int
 	for i := range results {
-		if results[i].Err == nil || !errors.Is(results[i].Err, ErrLandmarkConflict) {
+		if !e.pendingExact(results[i].Err) {
 			continue
 		}
 		v := lap.GroundVertex(e.g, results[i].S, results[i].T)
@@ -644,42 +700,100 @@ func (e *BatchEngine) resolveConflictsExact(ctx context.Context, results []PairR
 		}
 		groups[v] = append(groups[v], i)
 	}
+	var blocks []exactBlock
 	for _, v := range order {
-		idxs := groups[v]
-		pairs := make([][2]int, len(idxs))
-		for k, i := range idxs {
-			pairs[k] = [2]int{results[i].S, results[i].T}
+		for idxs := groups[v]; len(idxs) > 0; {
+			k := min(len(idxs), exactBlockRHS)
+			blocks = append(blocks, exactBlock{ground: v, idxs: idxs[:k]})
+			idxs = idxs[k:]
 		}
-		values, perrs, err := lap.ResistanceBatchCG(ctx, e.g, v, pairs, 0)
+	}
+	return blocks
+}
+
+// resolveExact answers every result pending an exact solve with the exact
+// CG solver. Pairs that share a grounding vertex advance together through
+// one multi-RHS block solve (one operator sweep per iteration for the
+// whole block) instead of one independent solve each, and the blocks run
+// across the batch workers. Each answer is bit-for-bit what ExactContext
+// would have produced: the grounding vertex, right-hand side, tolerance,
+// and CG recurrence are identical per pair, whatever block or worker
+// solved it. The solves record into the engine's metrics. It returns a
+// non-nil error only for batch-fatal conditions (cancellation).
+func (e *BatchEngine) resolveExact(ctx context.Context, results []PairResult) error {
+	blocks := e.exactBlocks(results)
+	if len(blocks) == 0 {
+		return nil
+	}
+	workers := e.workers(len(blocks))
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for b := worker; b < len(blocks); b += workers {
+				if err := e.solveExactBlock(ctx, results, blocks[b]); err != nil {
+					errs[worker] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			if errors.Is(err, ErrCanceled) {
-				// A mid-solve abort fails the whole batch: the caller's
-				// deadline has passed.
-				return err
-			}
-			// The whole group failed (disconnected graph, injected fault):
-			// surface the error on each pending query with a zero estimate.
-			for _, i := range idxs {
-				results[i].Estimate, results[i].Err = Estimate{}, err
-				results[i].Degraded = false
-				e.metrics.FallbackErrors.Inc()
-			}
-			continue
-		}
-		for k, i := range idxs {
-			if perrs[k] != nil {
-				results[i].Estimate, results[i].Err = Estimate{}, perrs[k]
-				results[i].Degraded = false
-				e.metrics.FallbackErrors.Inc()
-				continue
-			}
-			results[i].Estimate = Estimate{Value: values[k], Converged: true}
-			results[i].Err = nil
-			results[i].Degraded = false // the conflict fallback answered exactly
-			e.metrics.ExactFallbacks.Inc()
+			return err
 		}
 	}
 	return nil
+}
+
+// solveExactBlock answers one block's results in place.
+func (e *BatchEngine) solveExactBlock(ctx context.Context, results []PairResult, b exactBlock) error {
+	pairs := make([][2]int, len(b.idxs))
+	for k, i := range b.idxs {
+		pairs[k] = [2]int{results[i].S, results[i].T}
+	}
+	values, perrs, err := lap.ResistanceBatchCG(ctx, e.g, b.ground, pairs, 0, e.metrics)
+	if errors.Is(err, ErrCanceled) {
+		// A mid-solve abort fails the whole batch: the caller's deadline
+		// has passed.
+		return err
+	}
+	for k, i := range b.idxs {
+		// A whole-block failure (disconnected graph, injected fault)
+		// surfaces on each pending query with a zero estimate.
+		if err == nil {
+			e.finishExact(&results[i], values[k], perrs[k])
+		} else {
+			e.finishExact(&results[i], 0, err)
+		}
+	}
+	return nil
+}
+
+// finishExact stores one exact answer, or its failure, in r, counting it
+// as a planned exact answer or as a conflict fallback.
+func (e *BatchEngine) finishExact(r *PairResult, value float64, err error) {
+	planned := errors.Is(r.Err, errPlannedExact)
+	r.Degraded = false // the exact solver answered, not the degraded tier
+	if err != nil {
+		r.Estimate, r.Err = Estimate{}, err
+		if planned {
+			e.metrics.ObserveQuery(obs.QueryObservation{Err: true})
+		} else {
+			e.metrics.FallbackErrors.Inc()
+		}
+		return
+	}
+	r.Estimate, r.Err = Estimate{Value: value, Converged: true}, nil
+	if planned {
+		e.metrics.Queries.Inc()
+		e.metrics.PlannedExact.Inc()
+	} else {
+		e.metrics.ExactFallbacks.Inc()
+	}
 }
 
 // AdaptiveBatchOptions configures AdaptivePairs.
@@ -734,10 +848,8 @@ func (e *BatchEngine) AdaptivePairsContext(ctx context.Context, queries []PairQu
 			Attempts:  1,
 		}
 	}
-	if e.opts.OnConflict == ConflictExact {
-		if err := e.resolveConflictsExact(ctx, results); err != nil {
-			return nil, err
-		}
+	if err := e.resolveExact(ctx, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -54,7 +54,7 @@ func main() {
 	flag.StringVar(&cfg.graphPath, "graph", "", "edge-list file (required)")
 	flag.IntVar(&cfg.s, "s", -1, "source vertex (dense id)")
 	flag.IntVar(&cfg.t, "t", -1, "sink vertex (dense id)")
-	flag.StringVar(&cfg.method, "method", "exact", "exact|abwalk|push|bipush")
+	flag.StringVar(&cfg.method, "method", "exact", "exact|abwalk|push|bipush (auto needs a batch engine; rdserver -method auto plans it)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.IntVar(&cfg.walks, "walks", 0, "Monte Carlo walks (abwalk/bipush)")
 	flag.Float64Var(&cfg.theta, "theta", 0, "push residual threshold")
@@ -116,45 +116,42 @@ func run(cfg config, out io.Writer) error {
 }
 
 func runPair(g *landmarkrd.Graph, cfg config, out io.Writer) (float64, error) {
-	switch cfg.method {
-	case "exact":
+	if cfg.method == "exact" {
 		return landmarkrd.Exact(g, cfg.s, cfg.t)
-	case "abwalk", "push", "bipush":
-		m := map[string]landmarkrd.Method{
-			"abwalk": landmarkrd.AbWalk, "push": landmarkrd.Push, "bipush": landmarkrd.BiPush,
-		}[cfg.method]
-		if cfg.portfolio > 0 {
-			return runPortfolioPair(g, m, cfg, out)
-		}
-		est, err := landmarkrd.NewEstimator(g, m, landmarkrd.Options{
-			Seed: cfg.seed, Walks: cfg.walks, Theta: cfg.theta,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := est.Pair(cfg.s, cfg.t)
-		if errors.Is(err, landmarkrd.ErrLandmarkConflict) {
-			// A query endpoint is the landmark: fall back to exact.
-			v, exErr := landmarkrd.Exact(g, cfg.s, cfg.t)
-			if exErr != nil {
-				return 0, exErr
-			}
-			fmt.Fprintln(out, "(endpoint equals the landmark; answered exactly)")
-			return v, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(out, "landmark=%d walks=%d pushOps=%d converged=%v\n",
-			est.Landmark(), res.Walks, res.PushOps, res.Converged)
-		landmarkrd.PublishMetrics("landmarkrd.estimator", est.Metrics())
-		if cfg.stats {
-			fmt.Fprintf(out, "estimator stats:\n%s\n", est.Stats())
-		}
-		return res.Value, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", cfg.method)
 	}
+	m, err := landmarkrd.ParseMethod(cfg.method)
+	if err != nil {
+		return 0, err
+	}
+	if cfg.portfolio > 0 {
+		return runPortfolioPair(g, m, cfg, out)
+	}
+	est, err := landmarkrd.NewEstimator(g, m, landmarkrd.Options{
+		Seed: cfg.seed, Walks: cfg.walks, Theta: cfg.theta,
+	})
+	if err != nil {
+		return 0, err
+	}
+	res, err := est.Pair(cfg.s, cfg.t)
+	if errors.Is(err, landmarkrd.ErrLandmarkConflict) {
+		// A query endpoint is the landmark: fall back to exact.
+		v, exErr := landmarkrd.Exact(g, cfg.s, cfg.t)
+		if exErr != nil {
+			return 0, exErr
+		}
+		fmt.Fprintln(out, "(endpoint equals the landmark; answered exactly)")
+		return v, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	fmt.Fprintf(out, "landmark=%d walks=%d pushOps=%d converged=%v\n",
+		est.Landmark(), res.Walks, res.PushOps, res.Converged)
+	landmarkrd.PublishMetrics("landmarkrd.estimator", est.Metrics())
+	if cfg.stats {
+		fmt.Fprintf(out, "estimator stats:\n%s\n", est.Stats())
+	}
+	return res.Value, nil
 }
 
 // runPortfolioPair answers a pair estimate through a K-landmark portfolio.

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	rdserver -graph g.txt -addr :8080 -method bipush -timeout 2s
+//	rdserver -graph g.txt -addr :8080 -timeout 2s
 //
 // Endpoints:
 //
@@ -14,10 +14,19 @@
 //	GET  /readyz                     readiness probe (index built, not reloading)
 //	GET  /debug/vars                 expvar, including engine metrics
 //
+// -method auto, the default, plans every serving epoch: a seeded pilot of a
+// few pairs models the work of routed BiPush and of one exact grounded
+// solve per pair, and the epoch answers every pair by the cheaper path —
+// bipush on hub graphs, exact on road-like ones. The plan is published in
+// /debug/vars as landmarkrd.plan, and a /v1/pair reply's "method" names
+// the path that answered ("degraded" for the degraded tier). -method
+// abwalk, push, or bipush pins one estimator instead.
+//
 // Every query runs under the -timeout budget and is aborted mid-solve once
 // it expires (504); with -degrade-below set, queries that start with too
 // little budget left are answered by a cheap Monte Carlo tier and marked
-// "degraded" with an error bound instead. At most -max-inflight queries run
+// "degraded" with an error bound instead (on an exact-planned epoch the
+// exact solve is the cheaper path and answers them). At most -max-inflight queries run
 // concurrently; excess requests are rejected immediately with 429 (plus a
 // jittered Retry-After) rather than queued. Transient per-query failures
 // are retried up to -retries times with jittered backoff. With an
@@ -51,6 +60,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,38 +71,62 @@ import (
 )
 
 func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	if err := run(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "rdserver:", err)
+		os.Exit(1)
+	}
+}
+
+// parseFlags reads the command line into a config. A malformed flag, an
+// unknown -method included, is returned after the flag set has printed it
+// with the usage; -h returns flag.ErrHelp.
+func parseFlags(args []string) (config, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	method := landmarkrd.Auto
+	fs.Func("method", "estimator: auto, abwalk, push, or bipush (default auto: per epoch, the cheaper of routed bipush and one exact solve per pair)", func(s string) (err error) {
+		method, err = landmarkrd.ParseMethod(s)
+		return err
+	})
 	var (
-		graphFlag    = flag.String("graph", "", "edge-list graph file (required)")
-		addrFlag     = flag.String("addr", ":8080", "HTTP listen address")
-		methodFlag   = flag.String("method", "bipush", "estimator: abwalk, push, or bipush")
-		seedFlag     = flag.Uint64("seed", 1, "random seed")
-		walksFlag    = flag.Int("walks", 0, "Monte Carlo walks per endpoint (0 = method default)")
-		thetaFlag    = flag.Float64("theta", 0, "push residual threshold (0 = method default)")
-		timeoutFlag  = flag.Duration("timeout", 5*time.Second, "per-query time budget (0 disables)")
-		inflightFlag = flag.Int("max-inflight", 16, "max concurrent queries before 429")
-		workersFlag  = flag.Int("workers", 0, "batch workers per request (0 = GOMAXPROCS)")
-		indexFlag    = flag.String("index-mode", "none", "portfolio column builder (enables /v1/singlesource): exact, mc, sketch, or none")
-		precondFlag  = flag.String("precond", "jacobi", "CG preconditioner for index builds and solves: none, jacobi, chol, or auto")
-		portfolioKey = flag.Int("portfolio", 0, "portfolio size K with cost-law routing (0 means 1, a single landmark); needs -index-mode or -snapshot")
-		snapshotFlag = flag.String("snapshot", "", "portfolio snapshot file: load if present (v3, or v2 as K=1), else build and save as v3; SIGHUP reloads it")
-		retriesFlag  = flag.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
-		degradeFlag  = flag.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")
-		maxBodyFlag  = flag.Int64("max-body", httpapi.DefaultMaxBody, "max request body bytes (batch and update)")
-		patchesFlag  = flag.Int("max-patches", 0, "re-base the index after this many live updates (0 = default 64, negative disables)")
-		rebaseFlag   = flag.Duration("rebase-interval", 0, "also re-base pending live updates on this interval (0 disables)")
-		landmarkFlag = flag.String("landmarks", "", "serve exactly these portfolio landmark vertices, comma-separated (a replica's shard subset; implies -portfolio)")
-		cacheFlag    = flag.Int("cache", 0, "pair result cache entries, keyed on the epoch graph fingerprint (0 disables)")
-		drainFlag    = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
-		debugFlag    = flag.String("debug-addr", "", "also serve expvar and pprof on this address")
+		graphFlag    = fs.String("graph", "", "edge-list graph file (required)")
+		addrFlag     = fs.String("addr", ":8080", "HTTP listen address")
+		seedFlag     = fs.Uint64("seed", 1, "random seed")
+		walksFlag    = fs.Int("walks", 0, "Monte Carlo walks per endpoint (0 = method default)")
+		thetaFlag    = fs.Float64("theta", 0, "push residual threshold (0 = method default)")
+		timeoutFlag  = fs.Duration("timeout", 5*time.Second, "per-query time budget (0 disables)")
+		inflightFlag = fs.Int("max-inflight", 16, "max concurrent queries before 429")
+		workersFlag  = fs.Int("workers", 0, "batch workers per request (0 = GOMAXPROCS)")
+		indexFlag    = fs.String("index-mode", "none", "portfolio column builder (enables /v1/singlesource): exact, mc, sketch, or none")
+		precondFlag  = fs.String("precond", "jacobi", "CG preconditioner for index builds and solves: none, jacobi, chol, or auto")
+		portfolioKey = fs.Int("portfolio", 0, "portfolio size K with cost-law routing (0 means 1, a single landmark); needs -index-mode or -snapshot")
+		snapshotFlag = fs.String("snapshot", "", "portfolio snapshot file: load if present (v3, or v2 as K=1), else build and save as v3; SIGHUP reloads it")
+		retriesFlag  = fs.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
+		degradeFlag  = fs.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")
+		maxBodyFlag  = fs.Int64("max-body", httpapi.DefaultMaxBody, "max request body bytes (batch and update)")
+		patchesFlag  = fs.Int("max-patches", 0, "re-base the index after this many live updates (0 = default 64, negative disables)")
+		rebaseFlag   = fs.Duration("rebase-interval", 0, "also re-base pending live updates on this interval (0 disables)")
+		landmarkFlag = fs.String("landmarks", "", "serve exactly these portfolio landmark vertices, comma-separated (a replica's shard subset; implies -portfolio)")
+		cacheFlag    = fs.Int("cache", 0, "pair result cache entries, keyed on the epoch graph fingerprint (0 disables)")
+		drainFlag    = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
+		debugFlag    = fs.String("debug-addr", "", "also serve expvar and pprof on this address")
 	)
-	flag.Parse()
-	if err := run(config{
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	return config{
 		graphPath: *graphFlag,
 		addr:      *addrFlag,
-		methodStr: *methodFlag,
 		drain:     *drainFlag,
 		debugAddr: *debugFlag,
 		server: serverConfig{
+			method:       method,
 			seed:         *seedFlag,
 			walks:        *walksFlag,
 			theta:        *thetaFlag,
@@ -111,16 +145,12 @@ func main() {
 			landmarks:    *landmarkFlag,
 			cacheSize:    *cacheFlag,
 		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "rdserver:", err)
-		os.Exit(1)
-	}
+	}, nil
 }
 
 type config struct {
 	graphPath string
 	addr      string
-	methodStr string
 	drain     time.Duration
 	debugAddr string
 	server    serverConfig
@@ -130,14 +160,6 @@ func run(cfg config) error {
 	if cfg.graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
-	method, ok := map[string]landmarkrd.Method{
-		"abwalk": landmarkrd.AbWalk, "push": landmarkrd.Push, "bipush": landmarkrd.BiPush,
-	}[cfg.methodStr]
-	if !ok {
-		return fmt.Errorf("unknown -method %q (want abwalk, push, or bipush)", cfg.methodStr)
-	}
-	cfg.server.method = method
-
 	g, _, err := landmarkrd.LoadEdgeList(cfg.graphPath)
 	if err != nil {
 		return err
@@ -157,7 +179,8 @@ func run(cfg config) error {
 	if cfg.server.rebaseInt > 0 {
 		loops = append(loops, func(ctx context.Context) { srv.rebaseLoop(ctx, cfg.server.rebaseInt) })
 	}
-	srv.api.Logger.Printf("serving %s queries (landmark %d) on %s", method, srv.eng().Landmark(), cfg.addr)
+	eng := srv.eng()
+	srv.api.Logger.Printf("serving %s queries (landmark %d, plan %v) on %s", cfg.server.method, eng.Landmark(), eng.Plan(), cfg.addr)
 	err = srv.api.Run(cfg.addr, cfg.debugAddr, cfg.drain, srv.routes(), srv.reload, loops...)
 	srv.live.Quiesce() // let an in-flight background re-base finish
 	return err

@@ -184,7 +184,7 @@ func newQueryServer(g *landmarkrd.Graph, cfg serverConfig) (*queryServer, error)
 				fmt.Fprintln(os.Stderr, "rdserver: background rebase failed:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "rdserver: rebased onto epoch %d\n", seq)
+			s.logEpoch("rebased onto", seq)
 		},
 	}
 	if s.hasIndex() {
@@ -222,6 +222,12 @@ func (s *queryServer) eng() *landmarkrd.BatchEngine {
 	ep := s.live.Pin()
 	defer ep.Release()
 	return ep.Engine()
+}
+
+// logEpoch logs a newly published epoch with the plan its engine answers
+// pairs by.
+func (s *queryServer) logEpoch(what string, seq uint64) {
+	fmt.Fprintf(os.Stderr, "rdserver: %s epoch %d, plan %v\n", what, seq, s.eng().Plan())
 }
 
 // currentPortfolio peeks at the current epoch's portfolio (nil without an
@@ -272,6 +278,14 @@ func init() {
 			return li.PendingPatches()
 		}
 		return 0
+	}))
+	expvar.Publish("landmarkrd.plan", expvar.Func(func() any {
+		if li := liveServer.Load(); li != nil {
+			ep := li.Pin()
+			defer ep.Release()
+			return ep.Engine().Plan()
+		}
+		return landmarkrd.Plan{}
 	}))
 }
 
@@ -371,16 +385,18 @@ func (s *queryServer) reload() error {
 	defer s.reloadMu.Unlock()
 	s.ready.Store(false)
 	var err error
+	var seq uint64
 	if s.hasIndex() {
 		var pf *landmarkrd.PortfolioIndex
 		if pf, err = s.loadOrBuildPortfolio(); err == nil {
-			_, err = s.live.PublishPortfolio(pf)
+			seq, err = s.live.PublishPortfolio(pf)
 		}
 	} else {
-		_, err = s.live.Rebase(context.Background())
+		seq, err = s.live.Rebase(context.Background())
 	}
 	if err == nil {
 		s.publishPrecond()
+		s.logEpoch("reloaded onto", seq)
 	}
 	s.ready.Store(true)
 	if s.onReload != nil {
@@ -403,9 +419,12 @@ func (s *queryServer) rebaseLoop(ctx context.Context, interval time.Duration) {
 			if s.live.PendingPatches() == 0 {
 				continue
 			}
-			if _, err := s.live.Rebase(ctx); err != nil {
+			seq, err := s.live.Rebase(ctx)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "rdserver: periodic rebase failed:", err)
+				continue
 			}
+			s.logEpoch("rebased onto", seq)
 		}
 	}
 }
@@ -527,6 +546,10 @@ type pairResponse struct {
 	Cache string `json:"cache,omitempty"`
 }
 
+// degradedMethod is a /v1/pair reply's method for an answer from the
+// degraded tier (which then also carries degraded and error_bound).
+const degradedMethod = "degraded"
+
 func (s *queryServer) handlePair(w http.ResponseWriter, r *http.Request) {
 	// Pin the current epoch for the whole request: a concurrent update,
 	// re-base, or reload publishes a new epoch for later requests while
@@ -550,6 +573,12 @@ func (s *queryServer) handlePair(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, res.Err)
 		return
 	}
+	// method names the path that answered: the epoch plan's, or the
+	// degraded tier's.
+	method := ep.Engine().Plan().Path
+	if res.Degraded {
+		method = degradedMethod
+	}
 	resp := struct {
 		pairResponse
 		Method    string  `json:"method"`
@@ -559,7 +588,7 @@ func (s *queryServer) handlePair(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS float64 `json:"elapsed_ms"`
 	}{
 		pairResponse: toPairResponse(res),
-		Method:       s.cfg.method.String(),
+		Method:       method,
 		Landmark:     ep.Landmark(),
 		Epoch:        ep.Seq(),
 		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1e3,

@@ -123,7 +123,7 @@ func TestBatchWorkerCountInvariance(t *testing.T) {
 	for i := range queries {
 		queries[i] = PairQuery{S: (i*13 + 1) % g.N(), T: (i*37 + 5) % g.N()}
 	}
-	for _, m := range []Method{AbWalk, Push, BiPush} {
+	for _, m := range []Method{AbWalk, Push, BiPush, Auto} {
 		t.Run(m.String(), func(t *testing.T) {
 			var want []string
 			for _, workers := range []int{1, 2, 3, 7, 0} {
@@ -164,7 +164,7 @@ func TestBatchEngineWarmPoolIdentical(t *testing.T) {
 		queries[i] = PairQuery{S: (i*7 + 2) % g.N(), T: (i*31 + 9) % g.N()}
 	}
 	opts := BatchOptions{Options: Options{Seed: 23}, Workers: 4, PinLandmark: true, Landmark: g.MaxDegreeVertex()}
-	for _, m := range []Method{AbWalk, Push, BiPush} {
+	for _, m := range []Method{AbWalk, Push, BiPush, Auto} {
 		t.Run(m.String(), func(t *testing.T) {
 			engine, err := NewBatchEngine(g, m, opts)
 			if err != nil {

@@ -21,8 +21,9 @@ type BiPushOptions struct {
 	// Monte Carlo removes the remaining bias.
 	PushTheta float64
 	// Walks is the number of residual-correction walks per endpoint
-	// (default 500). A negative value disables the Monte Carlo correction
-	// entirely, degenerating BiPush to plain Push (useful for ablations).
+	// (default DefaultBiPushWalks). A negative value disables the Monte
+	// Carlo correction entirely, degenerating BiPush to plain Push (useful
+	// for ablations).
 	Walks int
 	// MaxSteps truncates each correction walk (default as in AbWalk).
 	MaxSteps int
@@ -30,13 +31,17 @@ type BiPushOptions struct {
 	MaxOps int64
 }
 
+// DefaultBiPushWalks is the per-endpoint correction walk count a zero
+// BiPushOptions.Walks resolves to.
+const DefaultBiPushWalks = 500
+
 func (o *BiPushOptions) withDefaults(n int) BiPushOptions {
 	out := *o
 	if out.PushTheta <= 0 {
 		out.PushTheta = 1e-2
 	}
 	if out.Walks == 0 {
-		out.Walks = 500
+		out.Walks = DefaultBiPushWalks
 	} else if out.Walks < 0 {
 		out.Walks = 0
 	}

@@ -175,7 +175,7 @@ func TestResistanceBatchCGMatchesSingle(t *testing.T) {
 			t.Fatalf("test setup: pair %v grounds at %d, want %d", pr, GroundVertex(g, pr[0], pr[1]), ground)
 		}
 	}
-	values, errs, err := ResistanceBatchCG(context.Background(), g, ground, pairs, 0)
+	values, errs, err := ResistanceBatchCG(context.Background(), g, ground, pairs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestResistanceBatchCGMatchesSingle(t *testing.T) {
 
 	// Mismatched ground and invalid vertex produce per-pair errors only.
 	values, errs, err = ResistanceBatchCG(context.Background(), g, ground,
-		[][2]int{{ground, 1}, {-1, 2}, {1, 2}}, 0)
+		[][2]int{{ground, 1}, {-1, 2}, {1, 2}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestResistanceBatchCGMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ResistanceBatchCG(context.Background(), dg, 2, [][2]int{{0, 1}}, 0); err == nil {
+	if _, _, err := ResistanceBatchCG(context.Background(), dg, 2, [][2]int{{0, 1}}, 0, nil); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"landmarkrd/internal/graph"
 	"landmarkrd/internal/linalg"
+	"landmarkrd/internal/obs"
 )
 
 // ExactTol is the CG tolerance used for "ground truth" resistance values.
@@ -79,12 +80,15 @@ func GroundVertex(g *graph.Graph, s, t int) int { return pickGround(g, s, t) }
 // ground, and s != t), using one block CG solve — one operator sweep per
 // iteration across all pairs instead of one solve per pair. Every returned
 // value is bit-for-bit what ResistanceCGContext would produce for that pair.
+// The solve holds about seven n-vectors per pair at once, so callers bound
+// len(pairs).
 //
 // errs[i] carries a per-pair failure (invalid vertex, breakdown,
 // non-convergence); err is reserved for whole-batch failures — a
 // disconnected graph, cancellation, or injected faults. tol <= 0 means
-// ExactTol.
-func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs [][2]int, tol float64) (values []float64, errs []error, err error) {
+// ExactTol. The block solve records into m (nil means the package
+// SolverMetrics).
+func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs [][2]int, tol float64, m *obs.Metrics) (values []float64, errs []error, err error) {
 	if tol <= 0 {
 		tol = ExactTol
 	}
@@ -124,6 +128,7 @@ func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs []
 		return values, errs, nil
 	}
 	solver := NewGroundedBlockSolver(g, ground, len(cols))
+	solver.Metrics = m
 	xs, _, colErrs, serr := solver.SolveRHS(ctx, bs, tol)
 	if serr != nil {
 		return nil, nil, fmt.Errorf("lap: exact resistance solve failed: %w", serr)

@@ -27,6 +27,10 @@ type GroundedSolver struct {
 	// solverMetrics (the process-wide exact-solver sink); worker pools
 	// point it at a worker-local sink and merge when they join.
 	Metrics *obs.Metrics
+	// MaxIter, when positive, caps the CG iterations of every solve (a solve
+	// that hits it fails with a non-convergence error); zero keeps
+	// linalg.CG's default.
+	MaxIter int
 
 	precond linalg.Preconditioner
 	rhs     []float64
@@ -106,6 +110,7 @@ func (s *GroundedSolver) run(ctx context.Context, tol float64) ([]float64, linal
 	linalg.Zero(s.x)
 	res, err := linalg.CG(&s.Op, s.x, s.rhs, linalg.CGOptions{
 		Tol:     tol,
+		MaxIter: s.MaxIter,
 		Precond: s.precond,
 		Work:    &s.work,
 		Ctx:     ctx,

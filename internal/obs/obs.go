@@ -163,6 +163,7 @@ type Metrics struct {
 	Canceled       Counter // queries/solves aborted by context cancellation
 	ExactFallbacks Counter // landmark-conflict queries answered by the exact solver
 	FallbackErrors Counter // exact-fallback solves that themselves failed
+	PlannedExact   Counter // queries the method planner sent to the exact solver
 	Degraded       Counter // queries answered by the degraded fallback tier
 	Retries        Counter // transient-failure retry attempts
 	Panics         Counter // worker panics recovered into typed internal errors
@@ -228,6 +229,7 @@ func (m *Metrics) Merge(src *Metrics) {
 	m.Canceled.Add(src.Canceled.Load())
 	m.ExactFallbacks.Add(src.ExactFallbacks.Load())
 	m.FallbackErrors.Add(src.FallbackErrors.Load())
+	m.PlannedExact.Add(src.PlannedExact.Load())
 	m.Degraded.Add(src.Degraded.Load())
 	m.Retries.Add(src.Retries.Load())
 	m.Panics.Add(src.Panics.Load())
@@ -361,6 +363,7 @@ type Snapshot struct {
 	Canceled       int64 `json:"canceled"`
 	ExactFallbacks int64 `json:"exact_fallbacks"`
 	FallbackErrors int64 `json:"fallback_errors"`
+	PlannedExact   int64 `json:"planned_exact"`
 	Degraded       int64 `json:"degraded"`
 	Retries        int64 `json:"retries"`
 	Panics         int64 `json:"panics"`
@@ -425,6 +428,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Canceled:       m.Canceled.Load(),
 		ExactFallbacks: m.ExactFallbacks.Load(),
 		FallbackErrors: m.FallbackErrors.Load(),
+		PlannedExact:   m.PlannedExact.Load(),
 		Degraded:       m.Degraded.Load(),
 		Retries:        m.Retries.Load(),
 		Panics:         m.Panics.Load(),

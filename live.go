@@ -56,6 +56,8 @@ type GraphUpdate struct {
 // default rebase thresholds.
 type LiveOptions struct {
 	// Method is the estimation method batch queries use (see Method).
+	// Auto plans afresh on every epoch: each re-base and reload builds a
+	// new engine, whose pilot judges the new graph.
 	Method Method
 	// Batch configures the per-epoch batch engine. Portfolio and
 	// PinLandmark must be left unset — the live index manages the serving
