@@ -476,8 +476,9 @@ type IndexBuildOptions struct {
 	Precond PrecondMode
 	// Metrics, when non-nil, receives the build observability: an
 	// IndexBuilds increment, the build wall time in the IndexBuildTime
-	// histogram, and (for DiagMC) walk-work counters merged from the
-	// worker pool.
+	// histogram, (for DiagMC) walk-work counters merged from the worker
+	// pool, and Panics increments for recovered DiagMC or DiagSketch
+	// worker panics.
 	Metrics *Metrics
 }
 

@@ -14,7 +14,9 @@
 // only) is at or below the threshold, 1 when it regresses, 2 on usage or
 // parse errors. Benchmarks present in only one file are listed but do not
 // affect the gate, so adding a benchmark does not require updating the
-// baseline atomically.
+// baseline atomically. Rows whose lines report B/op (-benchmem or
+// b.ReportAllocs) in both files also show old → new B/op, so a memory
+// regression is visible in the table; it does not enter the gate.
 package main
 
 import (
@@ -54,15 +56,15 @@ func run(oldPath, newPath string, threshold float64, summaryPath string, out io.
 	if threshold <= 0 {
 		return 0, fmt.Errorf("threshold must be positive, got %v", threshold)
 	}
-	oldNs, err := parseFile(oldPath)
+	oldRes, err := parseFile(oldPath)
 	if err != nil {
 		return 0, err
 	}
-	newNs, err := parseFile(newPath)
+	newRes, err := parseFile(newPath)
 	if err != nil {
 		return 0, err
 	}
-	rep := compare(oldNs, newNs)
+	rep := compare(oldRes, newRes)
 	if len(rep.rows) == 0 {
 		return 0, fmt.Errorf("no benchmarks in common between %s and %s", oldPath, newPath)
 	}
@@ -88,16 +90,27 @@ func run(oldPath, newPath string, threshold float64, summaryPath string, out io.
 	return 0, nil
 }
 
-// parseFile reads one `go test -bench` output file into name → mean ns/op.
+// result is one benchmark's mean ns/op and, when its lines report it, mean
+// B/op.
+type result struct {
+	ns       float64
+	bytes    float64
+	hasBytes bool
+}
+
+// parseFile reads one `go test -bench` output file into name → result.
 // Repeated lines for the same benchmark (e.g. -count=N) are averaged.
-func parseFile(path string) (map[string]float64, error) {
+func parseFile(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sums := map[string]float64{}
-	counts := map[string]int{}
+	type sum struct {
+		ns, bytes    float64
+		runs, nBytes int
+	}
+	sums := map[string]*sum{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -105,8 +118,17 @@ func parseFile(path string) (map[string]float64, error) {
 		if !ok {
 			continue
 		}
-		sums[name] += ns
-		counts[name]++
+		s := sums[name]
+		if s == nil {
+			s = &sum{}
+			sums[name] = s
+		}
+		s.ns += ns
+		s.runs++
+		if b, ok := lineValue(strings.Fields(sc.Text()), "B/op"); ok && b >= 0 {
+			s.bytes += b
+			s.nBytes++
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
@@ -114,10 +136,15 @@ func parseFile(path string) (map[string]float64, error) {
 	if len(sums) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark result lines found", path)
 	}
-	for name := range sums {
-		sums[name] /= float64(counts[name])
+	out := make(map[string]result, len(sums))
+	for name, s := range sums {
+		r := result{ns: s.ns / float64(s.runs)}
+		if s.nBytes > 0 {
+			r.bytes, r.hasBytes = s.bytes/float64(s.nBytes), true
+		}
+		out[name] = r
 	}
-	return sums, nil
+	return out, nil
 }
 
 // parseLine extracts (benchmark name, ns/op) from one output line of the
@@ -128,24 +155,30 @@ func parseLine(line string) (string, float64, bool) {
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", 0, false
 	}
+	ns, ok := lineValue(fields, "ns/op")
+	if !ok || ns <= 0 {
+		return "", 0, false
+	}
+	return fields[0], ns, true
+}
+
+// lineValue returns the number a benchmark result line's fields report
+// in unit ("ns/op", "B/op", ...), the field just before the unit.
+func lineValue(fields []string, unit string) (float64, bool) {
 	for i := 2; i+1 < len(fields); i++ {
-		if fields[i+1] != "ns/op" {
+		if fields[i+1] != unit {
 			continue
 		}
-		ns, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil || ns <= 0 {
-			return "", 0, false
-		}
-		return fields[0], ns, true
+		v, err := strconv.ParseFloat(fields[i], 64)
+		return v, err == nil
 	}
-	return "", 0, false
+	return 0, false
 }
 
 type row struct {
-	name  string
-	oldNs float64
-	newNs float64
-	ratio float64
+	name     string
+	old, new result
+	ratio    float64
 }
 
 type report struct {
@@ -155,23 +188,23 @@ type report struct {
 	onlyNew []string
 }
 
-// compare matches benchmarks by name and computes per-benchmark ratios and
-// their geometric mean.
-func compare(oldNs, newNs map[string]float64) report {
+// compare matches benchmarks by name and computes per-benchmark ns/op
+// ratios and their geometric mean.
+func compare(oldRes, newRes map[string]result) report {
 	var rep report
 	var logSum float64
-	for name, o := range oldNs {
-		n, ok := newNs[name]
+	for name, o := range oldRes {
+		n, ok := newRes[name]
 		if !ok {
 			rep.onlyOld = append(rep.onlyOld, name)
 			continue
 		}
-		r := n / o
-		rep.rows = append(rep.rows, row{name: name, oldNs: o, newNs: n, ratio: r})
+		r := n.ns / o.ns
+		rep.rows = append(rep.rows, row{name: name, old: o, new: n, ratio: r})
 		logSum += math.Log(r)
 	}
-	for name := range newNs {
-		if _, ok := oldNs[name]; !ok {
+	for name := range newRes {
+		if _, ok := oldRes[name]; !ok {
 			rep.onlyNew = append(rep.onlyNew, name)
 		}
 	}
@@ -188,11 +221,15 @@ func compare(oldNs, newNs map[string]float64) report {
 func (r report) markdown(threshold float64, pass bool) string {
 	var b strings.Builder
 	b.WriteString("### Benchmark gate\n\n")
-	b.WriteString("| benchmark | old ns/op | new ns/op | delta |\n")
-	b.WriteString("|---|---:|---:|---:|\n")
+	b.WriteString("| benchmark | old ns/op | new ns/op | delta | B/op old → new |\n")
+	b.WriteString("|---|---:|---:|---:|---:|\n")
 	for _, row := range r.rows {
-		fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% |\n",
-			row.name, fmtNs(row.oldNs), fmtNs(row.newNs), (row.ratio-1)*100)
+		var mem string
+		if row.old.hasBytes && row.new.hasBytes {
+			mem = fmtBytes(row.old.bytes) + " → " + fmtBytes(row.new.bytes)
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% | %s |\n",
+			row.name, fmtNs(row.old.ns), fmtNs(row.new.ns), (row.ratio-1)*100, mem)
 	}
 	verdict := "PASS"
 	if !pass {
@@ -219,5 +256,19 @@ func fmtNs(ns float64) string {
 		return fmt.Sprintf("%.4gµs", ns/1e3)
 	default:
 		return fmt.Sprintf("%.4gns", ns)
+	}
+}
+
+// fmtBytes prints B/op compactly with decimal unit scaling.
+func fmtBytes(b float64) string {
+	switch {
+	case b >= 1e9:
+		return fmt.Sprintf("%.3gGB", b/1e9)
+	case b >= 1e6:
+		return fmt.Sprintf("%.4gMB", b/1e6)
+	case b >= 1e3:
+		return fmt.Sprintf("%.4gkB", b/1e3)
+	default:
+		return fmt.Sprintf("%.4gB", b)
 	}
 }

@@ -50,8 +50,45 @@ func TestParseFileAveragesRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkX"] != 200 {
-		t.Fatalf("mean of repeats = %v, want 200", got["BenchmarkX"])
+	if got["BenchmarkX"].ns != 200 {
+		t.Fatalf("mean of repeats = %v, want 200", got["BenchmarkX"].ns)
+	}
+}
+
+// TestBytesPerOpInTable: rows whose lines report B/op in both files show
+// old → new B/op beside ns/op; rows without it (here GroundedApply, which
+// reports MB/s) leave the cell empty; and B/op never enters the gate, so a
+// 24x memory drop at equal ns/op still reads geomean 1.000.
+func TestBytesPerOpInTable(t *testing.T) {
+	got, err := parseFile(writeTemp(t, "b.txt", baseline+"BenchmarkBuildIndex/exact 3 1852000021 ns/op 133808 B/op 13 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got["BenchmarkBuildIndex/exact"]; !r.hasBytes || r.bytes != 133800 {
+		t.Errorf("BuildIndex/exact B/op = %+v, want the mean 133800", r)
+	}
+	if r := got["BenchmarkGroundedApply/small"]; r.hasBytes {
+		t.Errorf("GroundedApply/small reports no B/op, parsed %+v", r)
+	}
+
+	smaller := strings.NewReplacer("133792 B/op", "5575 B/op").Replace(baseline)
+	var out strings.Builder
+	code, err := run(writeTemp(t, "old.txt", baseline), writeTemp(t, "new.txt", smaller), 1.20, "", &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := out.String()
+	if code != 0 || !strings.Contains(table, "Geomean ratio: 1.000") {
+		t.Fatalf("B/op change moved the gate: exit %d\n%s", code, table)
+	}
+	for _, want := range []string{
+		"| BenchmarkBuildIndex/exact | 1.85s | 1.85s | +0.0% | 133.8kB → 5.575kB |",
+		"| BenchmarkBuildIndex/exact-4 | 1.85s | 1.85s | +0.0% | 486.8kB → 486.8kB |",
+		"| BenchmarkGroundedApply/small | 66.54µs | 66.54µs | +0.0% |  |",
+	} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table lacks %q:\n%s", want, table)
+		}
 	}
 }
 

@@ -255,7 +255,8 @@ func TestRetriesDoNotChangeFirstTrySuccesses(t *testing.T) {
 }
 
 // TestIndexBuildFaults covers the index.build site: errors and panics
-// surface typed from BuildLandmarkIndex, latency changes nothing.
+// surface typed from BuildLandmarkIndex and from a DiagSketch portfolio
+// build, and latency changes nothing.
 func TestIndexBuildFaults(t *testing.T) {
 	defer faultinject.Reset()
 	g := loadCorpusGraph(t, "grid_14x14.edges")
@@ -284,6 +285,54 @@ func TestIndexBuildFaults(t *testing.T) {
 	for i := range idx.Diag {
 		if math.Float64bits(idx.Diag[i]) != math.Float64bits(baseline.Diag[i]) {
 			t.Fatalf("latency fault changed Diag[%d]", i)
+		}
+	}
+
+	// DiagSketch: the site fires once per sketch row inside the streamed
+	// row-solve workers, which recover panics — both the site's own and one
+	// raised from a row's CG iteration.
+	buildSketch := func(m *landmarkrd.Metrics) (*landmarkrd.PortfolioIndex, error) {
+		return landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
+			K: 2, Mode: landmarkrd.DiagSketch, Workers: 2, Metrics: m,
+		})
+	}
+	faultinject.Reset()
+	sketchBaseline, err := buildSketch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{})
+	if _, err := buildSketch(nil); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("sketch error fault: err = %v, want ErrInjected", err)
+	}
+
+	for _, site := range []faultinject.Site{faultinject.SiteIndexBuild, faultinject.SiteCGIter} {
+		faultinject.Reset()
+		faultinject.Arm(site, faultinject.Fault{Panic: "injected"})
+		m := &landmarkrd.Metrics{}
+		if _, err := buildSketch(m); !errors.Is(err, landmarkrd.ErrInternal) {
+			t.Errorf("sketch panic fault at %s: err = %v, want ErrInternal", site, err)
+		}
+		if got := m.Snapshot().Panics; got < 1 {
+			t.Errorf("sketch panic fault at %s: Panics = %d, want an increment", site, got)
+		}
+	}
+
+	faultinject.Reset()
+	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{Latency: 10 * time.Microsecond, LatencyOnly: true, Every: 50})
+	pf, err := buildSketch(nil)
+	if err != nil {
+		t.Fatalf("sketch latency fault: %v", err)
+	}
+	if faultinject.Hits(faultinject.SiteIndexBuild) == 0 {
+		t.Error("index.build hook never reached by the sketch build")
+	}
+	for j := range pf.Cols {
+		for i := range pf.Cols[j] {
+			if math.Float64bits(pf.Cols[j][i]) != math.Float64bits(sketchBaseline.Cols[j][i]) {
+				t.Fatalf("sketch latency fault changed Cols[%d][%d]", j, i)
+			}
 		}
 	}
 }

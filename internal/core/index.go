@@ -31,8 +31,9 @@ const (
 	// DiagMC estimates τ(t,t) = E[visits to t of a v-absorbed walk from t]
 	// by sampling; cost per vertex is the hitting time h(t, v).
 	DiagMC
-	// DiagSketch reads r(t,v) off a Spielman-Srivastava sketch; build cost
-	// is O(log n / ε²) Laplacian solves total.
+	// DiagSketch folds r(t,v) out of Spielman-Srivastava sketch rows as
+	// they are solved, never holding the sketch; build cost is
+	// O(log n / ε²) Laplacian solves total.
 	DiagSketch
 )
 
@@ -79,9 +80,10 @@ type IndexOptions struct {
 	// seed, and the CG solves are deterministic per vertex.
 	Workers int
 	// Metrics, when non-nil, receives an IndexBuilds increment, the build
-	// wall time (IndexBuildTime histogram), and — for DiagMC — the walk
-	// work counters, merged from the worker-local sinks when the pool
-	// joins.
+	// wall time (IndexBuildTime histogram), for DiagMC the walk work
+	// counters, merged from the worker-local sinks when the pool joins,
+	// and Panics increments for recovered DiagMC or DiagSketch worker
+	// panics.
 	Metrics *obs.Metrics
 }
 
@@ -187,11 +189,11 @@ func BuildIndex(g *graph.Graph, landmark int, opts IndexOptions, rng *randx.RNG)
 	}
 	start := time.Now()
 	workers := indexWorkers(opts, g.N())
-	sk, err := buildSketch(g, opts, workers, rng)
+	cols, err := sketchColumns(g, []int{landmark}, opts, workers, rng)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := buildColumn(g, landmark, opts, workers, sk, rng)
+	idx, err := buildColumn(g, landmark, opts, workers, cols[0], rng)
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +205,14 @@ func BuildIndex(g *graph.Graph, landmark int, opts IndexOptions, rng *randx.RNG)
 	return idx, nil
 }
 
-// buildSketch builds the resistance sketch a DiagSketch build reads its
-// columns off; the other modes need none and get nil. One sketch serves
-// every landmark of a portfolio.
-func buildSketch(g *graph.Graph, opts IndexOptions, workers int, rng *randx.RNG) (*sketch.Sketch, error) {
+// sketchColumns returns the DiagSketch column of every landmark, all
+// folded out of one streamed sketch solve (sketch.Columns), so the build
+// never holds the k×n sketch. The other modes get nil columns, which
+// buildColumn fills itself. A worker panic in the solve surfaces as a
+// guard.ErrInternal error and is counted in opts.Metrics.Panics.
+func sketchColumns(g *graph.Graph, landmarks []int, opts IndexOptions, workers int, rng *randx.RNG) ([][]float64, error) {
 	if opts.Mode != DiagSketch {
-		return nil, nil
+		return make([][]float64, len(landmarks)), nil
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("core: DiagSketch index build requires an RNG")
@@ -217,20 +221,27 @@ func buildSketch(g *graph.Graph, opts IndexOptions, workers int, rng *randx.RNG)
 	if eps <= 0 {
 		eps = 0.3
 	}
-	sk, err := sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
+	cols, err := sketch.Columns(g, landmarks, sketch.Options{Epsilon: eps, Workers: workers}, rng)
 	if err != nil {
+		if errors.Is(err, guard.ErrInternal) && opts.Metrics != nil {
+			opts.Metrics.Panics.Inc()
+		}
 		return nil, fmt.Errorf("core: index sketch: %w", err)
 	}
-	return sk, nil
+	return cols, nil
 }
 
 // buildColumn builds the index of one landmark, the single column builder
 // behind BuildIndex and BuildPortfolio: it resolves the preconditioner,
-// then fills Diag with grounded CG solves (DiagExactCG), absorbed walks
-// drawing from rng (DiagMC), or extraction from the prebuilt sketch sk
-// (DiagSketch).
-func buildColumn(g *graph.Graph, landmark int, opts IndexOptions, workers int, sk *sketch.Sketch, rng *randx.RNG) (*Index, error) {
-	idx := &Index{G: g, Landmark: landmark, Diag: make([]float64, g.N()), Mode: opts.Mode}
+// then fills Diag with grounded CG solves (DiagExactCG) or absorbed walks
+// drawing from rng (DiagMC), or takes sketchCol, the column sketchColumns
+// built (DiagSketch).
+func buildColumn(g *graph.Graph, landmark int, opts IndexOptions, workers int, sketchCol []float64, rng *randx.RNG) (*Index, error) {
+	diag := sketchCol
+	if diag == nil {
+		diag = make([]float64, g.N())
+	}
+	idx := &Index{G: g, Landmark: landmark, Diag: diag, Mode: opts.Mode}
 	pc, resolved, err := resolvePrecond(g, landmark, opts.Precond, opts.PrecondSeed, opts.Metrics)
 	if err != nil {
 		return nil, err
@@ -243,9 +254,7 @@ func buildColumn(g *graph.Graph, landmark int, opts IndexOptions, workers int, s
 	case DiagMC:
 		err = buildDiagMC(g, landmark, idx.Diag, opts, workers, rng)
 	case DiagSketch:
-		if err = sk.ResistancesInto(idx.Diag, landmark); err == nil {
-			idx.Diag[landmark] = 0
-		}
+		idx.Diag[landmark] = 0
 	default:
 		err = fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"landmarkrd/internal/obs"
 	"landmarkrd/internal/randx"
+	"landmarkrd/internal/sketch"
 )
 
 // buildDiag builds an index with the given mode/workers from a fresh RNG
@@ -155,4 +157,41 @@ func TestSingleSourceConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSketchPortfolioBuildMemory: a DiagSketch portfolio folds its sketch
+// rows into the columns as they are solved, so the build must allocate less
+// than the k×n sketch it no longer holds — k·n·8 bytes, 10.8 MB on
+// BA(2000,4) at ε = 0.3 — at every worker count, and the columns must be
+// bit-identical across worker counts.
+func TestSketchPortfolioBuildMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three BA(2000,4) sketch portfolios")
+	}
+	g := testBA(t, 2000, 20)
+	limit := uint64(sketch.RowsFor(g.N(), 0.3)) * uint64(g.N()) * 8
+	var first [][]float64
+	for _, workers := range []int{1, 2, 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := BuildPortfolio(g, PortfolioOptions{K: 4, Mode: DiagSketch, SketchEpsilon: 0.3, Workers: workers}, randx.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("workers=%d: build allocated %d bytes, want < %d (the k×n sketch)", workers, got, limit)
+		}
+		if first == nil {
+			first = p.Cols
+			continue
+		}
+		for j := range first {
+			for u := range first[j] {
+				if math.Float64bits(p.Cols[j][u]) != math.Float64bits(first[j][u]) {
+					t.Fatalf("workers=%d: Cols[%d][%d] differs from the Workers:1 build", workers, j, u)
+				}
+			}
+		}
+	}
 }

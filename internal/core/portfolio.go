@@ -36,8 +36,9 @@ type Portfolio struct {
 	// BuildTime is the wall time BuildPortfolio took (not persisted).
 	BuildTime time.Duration
 	// ColBuildTimes[j] is the wall time spent on column j. For DiagSketch
-	// the shared sketch construction is amortized into BuildTime and each
-	// entry covers only that column's extraction.
+	// every column is folded out of the one shared sketch solve, which
+	// counts in BuildTime only; each entry covers just that column's
+	// preconditioner setup.
 	ColBuildTimes []time.Duration
 	// PrecondModes[j] is the resolved preconditioner mode of landmark j
 	// (PrecondAuto replaced by its pick). Loaded snapshots do not persist
@@ -80,7 +81,8 @@ type PortfolioOptions struct {
 	Workers int
 	// Metrics, when non-nil, receives one IndexBuilds increment, the total
 	// build wall time (IndexBuildTime), one ColumnBuildTime observation per
-	// landmark column, and — for DiagMC — the columns' walk work counters.
+	// landmark column, for DiagMC the columns' walk work counters, and
+	// Panics increments for recovered DiagMC or DiagSketch worker panics.
 	Metrics *obs.Metrics
 }
 
@@ -234,8 +236,9 @@ func hopsToSet(g *graph.Graph, sources []int) []int32 {
 
 // BuildPortfolio constructs a K-landmark portfolio. Each landmark's column
 // is one grounded-solver sweep (DiagExactCG), one absorbed-walk sweep
-// (DiagMC), or one extraction from a single sketch shared across all K
-// landmarks (DiagSketch — the sketch is built once, which is the point).
+// (DiagMC), or its share of one streamed sketch solve (DiagSketch — the
+// sketch rows are solved once and folded into all K columns, which is the
+// point).
 // Column j draws from its own random stream derived from the root seed, so
 // the portfolio is byte-identical for a fixed seed at any worker count and
 // column j of a K-portfolio equals column j of any larger portfolio with
@@ -280,7 +283,7 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 	if rng != nil {
 		root = rng.Uint64()
 	}
-	sk, err := buildSketch(g, iopts, workers, rng)
+	sketchCols, err := sketchColumns(g, landmarks, iopts, workers, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +299,7 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 	for j, v := range landmarks {
 		colStart := time.Now()
 		iopts.PrecondSeed = opts.PrecondSeed + uint64(j)*0x9e3779b97f4a7c15
-		idx, err := buildColumn(g, v, iopts, workers, sk, randx.New(root+uint64(j+1)*0x9e3779b97f4a7c15))
+		idx, err := buildColumn(g, v, iopts, workers, sketchCols[j], randx.New(root+uint64(j+1)*0x9e3779b97f4a7c15))
 		if err != nil {
 			return nil, err
 		}

@@ -48,8 +48,9 @@ const (
 	// SiteBatchQuery fires once per query inside a batch-engine worker,
 	// before the estimator runs.
 	SiteBatchQuery Site = "batch.query"
-	// SiteIndexBuild fires once per vertex inside the landmark index
-	// build workers.
+	// SiteIndexBuild fires once per vertex inside the exact and Monte
+	// Carlo landmark index build workers, and once per sketch row inside
+	// a DiagSketch build's row-solve workers.
 	SiteIndexBuild Site = "index.build"
 )
 

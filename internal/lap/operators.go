@@ -28,18 +28,48 @@ type Laplacian struct {
 func (l *Laplacian) Dim() int { return l.G.N() }
 
 // Apply computes dst = L x. dst and x must not alias.
-func (l *Laplacian) Apply(dst, x []float64) {
-	g := l.G
+func (l *Laplacian) Apply(dst, x []float64) { applyLaplacian(l.G, l.NoParallel, dst, x) }
+
+// ApplyBlock computes dst[c] = L x[c] for every column c through the
+// unrolled multi-column kernels of laplacianSweepBlock; per column the
+// accumulation order is laplacianSweep's, so every column's result is
+// bit-for-bit what Apply would have produced. It implements
+// linalg.BlockOperator.
+func (l *Laplacian) ApplyBlock(dst, x [][]float64) {
+	applyLaplacianBlock(l.G, l.NoParallel, dst, x)
+}
+
+// applyLaplacian computes dst = L x over g, row-parallel above the size
+// threshold unless noParallel. It is the sweep behind Laplacian.Apply and
+// Grounded.Apply.
+func applyLaplacian(g *graph.Graph, noParallel bool, dst, x []float64) {
 	n := g.N()
 	offsets, adj, w := g.RawCSR()
 	deg := g.WeightedDegrees()
-	if !l.NoParallel && parallelApplyWorthwhile(n, len(adj)) {
+	if !noParallel && parallelApplyWorthwhile(n, len(adj)) {
 		parallelRows(n, offsets, func(lo, hi int) {
 			laplacianSweep(dst, x, offsets, adj, w, deg, lo, hi)
 		})
 		return
 	}
 	laplacianSweep(dst, x, offsets, adj, w, deg, 0, n)
+}
+
+// applyLaplacianBlock is applyLaplacian for several columns at once, the
+// sweep behind Laplacian.ApplyBlock and Grounded.ApplyBlock. Each row block
+// of the parallel split runs every column, so the parallel threshold counts
+// the block's total work.
+func applyLaplacianBlock(g *graph.Graph, noParallel bool, dst, x [][]float64) {
+	n := g.N()
+	offsets, adj, w := g.RawCSR()
+	deg := g.WeightedDegrees()
+	if !noParallel && parallelApplyWorthwhile(n, len(adj)*len(x)) {
+		parallelRows(n, offsets, func(lo, hi int) {
+			laplacianSweepBlock(dst, x, offsets, adj, w, deg, lo, hi)
+		})
+		return
+	}
+	laplacianSweepBlock(dst, x, offsets, adj, w, deg, 0, n)
 }
 
 // laplacianSweep computes dst[u] = deg[u]·x[u] − Σ_{(u,v)} w·x[v] for rows
@@ -104,20 +134,10 @@ func (l *Grounded) Dim() int { return l.G.N() }
 // plain Laplacian sweep (making the excluded column vanish algebraically)
 // and restored afterwards, so the inner loop is branch-free.
 func (l *Grounded) Apply(dst, x []float64) {
-	g := l.G
-	n := g.N()
 	v := l.Landmark
-	offsets, adj, w := g.RawCSR()
-	deg := g.WeightedDegrees()
 	xv := x[v]
 	x[v] = 0
-	if !l.NoParallel && parallelApplyWorthwhile(n, len(adj)) {
-		parallelRows(n, offsets, func(lo, hi int) {
-			laplacianSweep(dst, x, offsets, adj, w, deg, lo, hi)
-		})
-	} else {
-		laplacianSweep(dst, x, offsets, adj, w, deg, 0, n)
-	}
+	applyLaplacian(l.G, l.NoParallel, dst, x)
 	x[v] = xv
 	dst[v] = 0
 }
@@ -136,23 +156,13 @@ func (l *Grounded) ApplyBlock(dst, x [][]float64) {
 		l.Apply(dst[0], x[0])
 		return
 	}
-	g := l.G
-	n := g.N()
 	v := l.Landmark
-	offsets, adj, w := g.RawCSR()
-	deg := g.WeightedDegrees()
 	saved := make([]float64, k)
 	for c, xc := range x {
 		saved[c] = xc[v]
 		xc[v] = 0
 	}
-	if !l.NoParallel && parallelApplyWorthwhile(n, len(adj)*k) {
-		parallelRows(n, offsets, func(lo, hi int) {
-			laplacianSweepBlock(dst, x, offsets, adj, w, deg, lo, hi)
-		})
-	} else {
-		laplacianSweepBlock(dst, x, offsets, adj, w, deg, 0, n)
-	}
+	applyLaplacianBlock(l.G, l.NoParallel, dst, x)
 	for c, xc := range x {
 		xc[v] = saved[c]
 		dst[c][v] = 0

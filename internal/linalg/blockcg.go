@@ -31,6 +31,11 @@ type BlockCGOptions struct {
 	// Precond is applied column-by-column; it must be safe for repeated
 	// Precondition calls with distinct dst/x pairs.
 	Precond Preconditioner
+	// ProjectConstant mirrors CGOptions.ProjectConstant: every column is
+	// re-projected orthogonal to the all-ones vector at exactly the points
+	// CG projects (x, r and z at the start; Ap, r and z in each iteration),
+	// so a singular-Laplacian block solve stays bit-for-bit k CG solves.
+	ProjectConstant bool
 	// Work, when non-nil, supplies the scratch matrices so repeated block
 	// solves do not allocate.
 	Work *BlockCGWorkspace
@@ -166,15 +171,25 @@ func BlockCG(a Operator, x, b [][]float64, opts BlockCGOptions) (results []CGRes
 		}
 		active = append(active, c)
 	}
+	project := func(v []float64) {
+		if opts.ProjectConstant {
+			ProjectOutConstant(v)
+		}
+	}
 	// r = b - A x, per active column, then the first preconditioned search
 	// direction — the same initialization CG performs.
+	for _, c := range active {
+		project(x[c])
+	}
 	applyActive(r, x, active)
 	for _, c := range active {
 		rc, bc := r[c], b[c]
 		for i := range rc {
 			rc[i] = bc[i] - rc[i]
 		}
+		project(rc)
 		opts.Precond.Precondition(z[c], rc)
+		project(z[c])
 		copy(p[c], z[c])
 		rz[c] = Dot(rc, z[c])
 	}
@@ -219,6 +234,7 @@ func BlockCG(a Operator, x, b [][]float64, opts BlockCGOptions) (results []CGRes
 		applyActive(ap, p, active)
 		live = active[:0]
 		for _, c := range active {
+			project(ap[c])
 			pap := Dot(p[c], ap[c])
 			if pap <= 0 || math.IsNaN(pap) {
 				colErrs[c] = ErrCGBreakdown
@@ -227,7 +243,9 @@ func BlockCG(a Operator, x, b [][]float64, opts BlockCGOptions) (results []CGRes
 			alpha := rz[c] / pap
 			Axpy(alpha, p[c], x[c])
 			Axpy(-alpha, ap[c], r[c])
+			project(r[c])
 			opts.Precond.Precondition(z[c], r[c])
+			project(z[c])
 			rzNew := Dot(r[c], z[c])
 			beta := rzNew / rz[c]
 			rz[c] = rzNew

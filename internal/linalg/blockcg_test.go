@@ -317,3 +317,107 @@ func TestCGDegenerateDiagonalFallsBackToIdentity(t *testing.T) {
 		}
 	}
 }
+
+// denseLaplacian returns the Laplacian of a connected weighted graph on n
+// vertices — a cycle plus n/10 random chords, so CG needs well over a
+// handful of iterations — as a dense, singular operator whose null space is
+// span{1}.
+func denseLaplacian(n int, rng *randx.RNG) *Dense {
+	m := NewDense(n, n)
+	addEdge := func(u, v int, w float64) {
+		m.Set(u, v, m.At(u, v)-w)
+		m.Set(v, u, m.At(v, u)-w)
+		m.Set(u, u, m.At(u, u)+w)
+		m.Set(v, v, m.At(v, v)+w)
+	}
+	for u := 0; u < n; u++ {
+		addEdge(u, (u+1)%n, 0.5+rng.Float64())
+	}
+	for i := 0; i < n/10; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			addEdge(u, v, 0.5+rng.Float64())
+		}
+	}
+	return m
+}
+
+// TestBlockCGProjectConstantMatchesCG: with ProjectConstant, BlockCG over a
+// singular Laplacian must reproduce per-column CG with ProjectConstant bit
+// for bit — solution, iterations, residual and convergence — through both
+// the per-column Apply path and the fused ApplyBlock path. The columns
+// converge at staggered iterations (a zero rhs, a tiny rhs, dense ones), and
+// some start from a nonzero guess with a constant component, so every one of
+// CG's projection points is exercised.
+func TestBlockCGProjectConstantMatchesCG(t *testing.T) {
+	rng := randx.New(27)
+	n := 150
+	lap := denseLaplacian(n, rng)
+	const k = 6
+	b := make([][]float64, k)
+	start := make([][]float64, k)
+	for c := range b {
+		b[c] = make([]float64, n)
+		start[c] = make([]float64, n)
+	}
+	// Column 0: zero rhs. Column 1: a tiny dipole across one edge.
+	// Column 2: a dense mean-zero rhs. Column 3: one smooth wave.
+	// Column 4: a dense rhs with a constant component. Column 5: a dense
+	// rhs from a nonzero start off range(L).
+	b[1][0], b[1][1] = 1e-8, -1e-8
+	for i := range b[3] {
+		b[3][i] = math.Cos(2 * math.Pi * float64(i) / float64(n))
+	}
+	for _, c := range []int{2, 4, 5} {
+		for i := range b[c] {
+			b[c][i] = rng.NormFloat64()
+		}
+		if c != 4 {
+			ProjectOutConstant(b[c])
+		}
+	}
+	for i := range start[5] {
+		start[5][i] = 3 + rng.NormFloat64()
+	}
+	opts := CGOptions{Tol: 1e-10, ProjectConstant: true}
+	refX := make([][]float64, k)
+	refRes := make([]CGResult, k)
+	for c := range b {
+		refX[c] = append([]float64(nil), start[c]...)
+		res, err := CG(denseOp{lap}, refX[c], b[c], opts)
+		if err != nil {
+			t.Fatalf("reference CG col %d: %v", c, err)
+		}
+		refRes[c] = res
+	}
+	if refRes[1].Iterations == refRes[2].Iterations || refRes[2].Iterations == refRes[3].Iterations {
+		t.Fatal("test is vacuous: the nonzero columns converge at the same iteration")
+	}
+	for _, fused := range []bool{false, true} {
+		var op Operator = denseOp{lap}
+		if fused {
+			op = blockDenseOp{lap}
+		}
+		x := make([][]float64, k)
+		for c := range x {
+			x[c] = append([]float64(nil), start[c]...)
+		}
+		results, colErrs, err := BlockCG(op, x, b, BlockCGOptions{Tol: opts.Tol, ProjectConstant: true})
+		if err != nil {
+			t.Fatalf("fused=%v: BlockCG: %v", fused, err)
+		}
+		for c := 0; c < k; c++ {
+			if colErrs[c] != nil {
+				t.Fatalf("fused=%v col %d: %v", fused, c, colErrs[c])
+			}
+			if results[c] != refRes[c] {
+				t.Fatalf("fused=%v col %d: result %+v, want %+v", fused, c, results[c], refRes[c])
+			}
+			for i := range x[c] {
+				if math.Float64bits(x[c][i]) != math.Float64bits(refX[c][i]) {
+					t.Fatalf("fused=%v col %d row %d: %v != %v (bitwise)", fused, c, i, x[c][i], refX[c][i])
+				}
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"landmarkrd/internal/graph"
 	"landmarkrd/internal/lap"
+	"landmarkrd/internal/linalg"
 	"landmarkrd/internal/randx"
 )
 
@@ -173,6 +174,124 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 		if a != b {
 			t.Errorf("worker count changed sketch at %v: %v vs %v", pair, a, b)
 		}
+	}
+}
+
+// weightedTestGraph returns a connected weighted small-world graph.
+func weightedTestGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	ws, err := graph.WattsStrogatz(90, 3, 0.2, randx.New(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(ws.N())
+	rng := randx.New(61)
+	ws.ForEachEdge(func(u, v int32, _ float64) {
+		b.AddWeightedEdge(int(u), int(v), 0.25+2*rng.Float64())
+	})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRowsMatchCG pins every blocked row to the row-at-a-time solve it
+// replaced: rhs Bᵀ W^{1/2} q / √k from the row's own RNG, split off the
+// build RNG in row order, then one linalg.CG with ProjectConstant and the
+// operator's default Jacobi preconditioner. The row count, 21, leaves a
+// partial last block.
+func TestRowsMatchCG(t *testing.T) {
+	ba, err := graph.BarabasiAlbert(150, 3, randx.New(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"ba": ba, "ws_w": weightedTestGraph(t)} {
+		const k = 21
+		n := g.N()
+		rng := randx.New(63)
+		scale := 1 / math.Sqrt(k)
+		want := make([][]float64, k)
+		for i := range want {
+			rowRNG := rng.Split()
+			b := make([]float64, n)
+			g.ForEachEdge(func(u, v int32, w float64) {
+				sgn := rowRNG.Rademacher() * math.Sqrt(w) * scale
+				b[u] += sgn
+				b[v] -= sgn
+			})
+			linalg.ProjectOutConstant(b)
+			want[i] = make([]float64, n)
+			if _, err := linalg.CG(&lap.Laplacian{G: g}, want[i], b, linalg.CGOptions{Tol: 1e-8, ProjectConstant: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			sk, err := Build(g, Options{K: k, Workers: workers}, randx.New(63))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				for u := range want[i] {
+					if math.Float64bits(sk.rows[i][u]) != math.Float64bits(want[i][u]) {
+						t.Fatalf("%s workers=%d row %d: [%d] = %v, CG solve %v",
+							name, workers, i, u, sk.rows[i][u], want[i][u])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColumnsMatchBuild: the streamed columns must equal Build followed by
+// ResistancesFrom bit for bit, at several worker counts, for a row count
+// (43) that is not a multiple of the block width.
+func TestColumnsMatchBuild(t *testing.T) {
+	ba, err := graph.BarabasiAlbert(160, 3, randx.New(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"ba": ba, "ws_w": weightedTestGraph(t)} {
+		n := g.N()
+		landmarks := []int{g.MaxDegreeVertex(), 0, n - 1, n / 2}
+		const k = 43
+		sk, err := Build(g, Options{K: k, Workers: 1}, randx.New(65))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			par, err := Build(g, Options{K: k, Workers: workers}, randx.New(65))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sk.rows {
+				for u := range sk.rows[i] {
+					if math.Float64bits(par.rows[i][u]) != math.Float64bits(sk.rows[i][u]) {
+						t.Fatalf("%s workers=%d: row %d differs at %d", name, workers, i, u)
+					}
+				}
+			}
+			cols, err := Columns(g, landmarks, Options{K: k, Workers: workers}, randx.New(65))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range landmarks {
+				want, err := sk.ResistancesFrom(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := range want {
+					if math.Float64bits(cols[j][u]) != math.Float64bits(want[u]) {
+						t.Fatalf("%s workers=%d landmark %d: column[%d] = %v, sketch %v",
+							name, workers, v, u, cols[j][u], want[u])
+					}
+				}
+			}
+		}
+	}
+	g, _ := graph.Cycle(12)
+	if _, err := Columns(g, []int{3, 12}, Options{K: 8}, randx.New(66)); err == nil {
+		t.Error("out-of-range landmark accepted")
 	}
 }
 

@@ -38,7 +38,8 @@ type PortfolioBuildOptions struct {
 	// Landmarks pins the landmark set explicitly, overriding K/Strategy.
 	Landmarks []int
 	// Mode selects the column builder (DiagExactCG, DiagMC, DiagSketch).
-	// DiagSketch builds one sketch shared by all K columns.
+	// DiagSketch solves one set of sketch rows and folds each row into all
+	// K columns as it is solved, never holding the whole sketch.
 	Mode DiagMode
 	// Seed drives all randomness (default 1). For a fixed seed the
 	// portfolio is byte-identical at any worker count.
@@ -51,8 +52,9 @@ type PortfolioBuildOptions struct {
 	// PrecondModes field and Stats.
 	Precond PrecondMode
 	// Metrics, when non-nil, receives one IndexBuilds increment, the total
-	// build time (IndexBuildTime), and per-column ColumnBuildTime
-	// observations.
+	// build time (IndexBuildTime), per-column ColumnBuildTime
+	// observations, and a Panics increment when a DiagSketch row-solve
+	// worker panics.
 	Metrics *Metrics
 }
 
