@@ -16,6 +16,7 @@ import (
 	"landmarkrd/internal/obs"
 	"landmarkrd/internal/randx"
 	"landmarkrd/internal/retry"
+	"landmarkrd/internal/walk"
 )
 
 // PairQuery is one (s, t) query in a batch.
@@ -70,10 +71,13 @@ type BatchOptions struct {
 	// Options configures each worker's estimator.
 	Options Options
 	// Workers is the number of parallel workers (default GOMAXPROCS).
-	// Worker w handles queries w, w+Workers, w+2·Workers, ..., but every
-	// query draws from its own random stream derived from Options.Seed
-	// and the query position, so batch results are byte-identical at any
-	// worker count.
+	// Worker w handles queries w, w+Workers, w+2·Workers, ..., keeping up
+	// to four of them in flight: their pushes run one after another, and
+	// their walks advance in lockstep on the worker's core, which overlaps
+	// the memory reads of independent walks. Every query draws from its own
+	// random stream derived from Options.Seed and the query position, so
+	// batch results are byte-identical at any worker count and whichever
+	// queries share a worker's lanes.
 	Workers int
 	// Landmark pins the landmark vertex when PinLandmark is true (0 is a
 	// valid vertex, hence the explicit flag). Setting Landmark to a
@@ -142,6 +146,7 @@ type BatchEngine struct {
 	landmark  int
 	portfolio *PortfolioIndex
 	seed      uint64
+	sampler   *walk.Sampler // the workers' walk lanes step through it
 	// idle[j] holds idle estimators for portfolio position j; without a
 	// portfolio there is a single list at position 0.
 	idle    []freeList[*Estimator]
@@ -230,6 +235,7 @@ func NewBatchEngine(g *Graph, m Method, opts BatchOptions) (*BatchEngine, error)
 		landmark:  landmark,
 		portfolio: opts.Portfolio,
 		seed:      seed,
+		sampler:   walk.NewSampler(g),
 		idle:      make([]freeList[*Estimator], pools),
 		metrics:   metrics,
 	}
@@ -324,11 +330,13 @@ func (f fatalError) Unwrap() error { return f.error }
 // with panic-poisoning: an estimator that panicked mid-query may hold
 // arbitrarily corrupt internal state, so it is dropped on the floor instead
 // of being returned to its free list, and the next query acquires a fresh
-// one.
+// one. It also tracks the queries the worker has in its walk lanes.
 type batchWorker struct {
-	e    *BatchEngine
-	ests []*Estimator          // one slot per portfolio position (one without)
-	deg  *core.AbWalkEstimator // degraded tier, acquired on first use
+	e        *BatchEngine
+	ests     []*Estimator          // one slot per portfolio position (one without)
+	deg      *core.AbWalkEstimator // degraded tier, acquired on first use
+	inflight []*laneQuery          // queries whose first attempt is walking
+	fatal    error                 // a batch-fatal error; the worker stops
 }
 
 // estimator returns the worker's estimator for portfolio position j,
@@ -360,10 +368,14 @@ func (w *batchWorker) degraded() (*core.AbWalkEstimator, error) {
 	return w.deg, nil
 }
 
-// poison discards position j's estimator without returning it to its list.
-func (w *batchWorker) poison(j int) {
-	if w.ests != nil {
-		w.ests[j] = nil
+// poison discards the estimator a panicking attempt ran on instead of
+// returning it to its list, unless the worker has replaced it already.
+func (w *batchWorker) poison(a *attempt) {
+	switch {
+	case a.pos < 0 && w.deg == a.deg:
+		w.deg = nil
+	case a.pos >= 0 && w.ests != nil && w.ests[a.pos] == a.est:
+		w.ests[a.pos] = nil
 	}
 }
 
@@ -381,14 +393,48 @@ func (w *batchWorker) close() {
 	}
 }
 
-// attempt runs one full-fidelity attempt of query q with the given seed.
-// With a portfolio it routes the query to the cheapest landmark and falls
-// back across the members on conflict; without one it always uses the
-// engine landmark.
-func (e *BatchEngine) attempt(ctx context.Context, w *batchWorker, q PairQuery, seed uint64) (Estimate, error) {
+// attempt is one attempt of a batch query between its phases (see
+// core.PairJob): begun on one of the worker's estimators, its walks still
+// to run.
+type attempt struct {
+	job core.PairJob
+	pos int                   // portfolio position; −1 on the degraded tier
+	est *Estimator            // the estimator it began on (pos ≥ 0)
+	deg *core.AbWalkEstimator // the degraded-tier estimator (pos < 0)
+}
+
+// beginAttempt fires the per-attempt fault hook and begins one attempt of
+// query q with the given seed: on the degraded tier when degrade is set,
+// else routed (beginRouted).
+func (e *BatchEngine) beginAttempt(ctx context.Context, w *batchWorker, fi *faultinject.Hook, q PairQuery, seed uint64, degrade bool) (*attempt, error) {
+	// Guard the fire itself: an injected panic at this site must surface as
+	// ErrInternal, not kill the worker goroutine.
+	if ferr := guard.Run(fi.Fire); ferr != nil {
+		if errors.Is(ferr, guard.ErrInternal) {
+			e.metrics.Panics.Inc()
+		}
+		return nil, ferr
+	}
+	if degrade {
+		return e.beginDegraded(ctx, w, q, seed)
+	}
+	return e.beginRouted(ctx, w, q, seed)
+}
+
+// beginRouted begins a full-fidelity attempt. With a portfolio it routes
+// the query to the cheapest landmark and falls back across the members on
+// conflict; without one it always uses the engine landmark.
+func (e *BatchEngine) beginRouted(ctx context.Context, w *batchWorker, q PairQuery, seed uint64) (*attempt, error) {
 	p := e.portfolio
 	if p == nil {
-		return e.attemptAt(ctx, w, 0, q, seed)
+		return e.beginAt(ctx, w, 0, q, seed)
+	}
+	// Route indexes the landmark columns by s and t.
+	if err := e.g.ValidateVertex(q.S); err != nil {
+		return nil, err
+	}
+	if err := e.g.ValidateVertex(q.T); err != nil {
+		return nil, err
 	}
 	for _, j := range p.Route(q.S, q.T) {
 		if v := p.Landmarks[j]; v == q.S || v == q.T {
@@ -396,86 +442,194 @@ func (e *BatchEngine) attempt(ctx context.Context, w *batchWorker, q PairQuery, 
 			e.metrics.RouterFallbacks.Inc()
 			continue
 		}
-		res, err := e.attemptAt(ctx, w, j, q, seed)
+		a, err := e.beginAt(ctx, w, j, q, seed)
 		if errors.Is(err, ErrLandmarkConflict) {
 			p.NoteFallback()
 			e.metrics.RouterFallbacks.Inc()
 			continue
 		}
-		if err == nil {
-			p.NoteRouted(j)
-			e.metrics.PortfolioQueries.Inc()
-		}
-		return res, err
+		return a, err
 	}
 	// Every member collided with s or t; let the OnConflict policy decide
 	// (ConflictExact answers with the exact solver).
-	return Estimate{}, fmt.Errorf("landmarkrd: every portfolio landmark conflicts with query (%d,%d): %w", q.S, q.T, ErrLandmarkConflict)
+	return nil, fmt.Errorf("landmarkrd: every portfolio landmark conflicts with query (%d,%d): %w", q.S, q.T, ErrLandmarkConflict)
 }
 
-// attemptAt runs one attempt of query q against portfolio position j,
-// recovering a panicking estimator into a typed internal error.
-func (e *BatchEngine) attemptAt(ctx context.Context, w *batchWorker, j int, q PairQuery, seed uint64) (Estimate, error) {
+// beginAt begins an attempt of query q on portfolio position j's
+// estimator, recovering a panic into a typed internal error.
+func (e *BatchEngine) beginAt(ctx context.Context, w *batchWorker, j int, q PairQuery, seed uint64) (*attempt, error) {
 	est, err := w.estimator(j)
 	if err != nil {
-		return Estimate{}, fatalError{err}
+		return nil, fatalError{err}
 	}
 	// Per-query streams keep the answer to query i a pure function of
-	// (seed, i) — independent of which worker ran it and of the worker
-	// count.
+	// (seed, i) — independent of which worker ran it, of the worker count,
+	// and of the queries sharing its walk lanes.
 	est.Reseed(seed)
-	var res Estimate
+	a := &attempt{pos: j, est: est}
 	err = guard.Run(func() error {
 		var perr error
-		res, perr = est.PairContext(ctx, q.S, q.T)
+		a.job, perr = est.startPair(ctx, q.S, q.T)
 		return perr
 	})
-	if errors.Is(err, guard.ErrInternal) {
-		w.poison(j)
-		e.metrics.Panics.Inc()
-		return Estimate{}, err
+	if err != nil {
+		return nil, e.failed(w, a, err)
 	}
-	return res, err
+	return a, nil
 }
 
-// attemptDegraded runs one degraded-tier attempt: a low-walk Monte Carlo
-// estimate whose ErrBound is set to four CI half-widths plus a truncation
-// allowance — conservative enough that the true resistance lies within
-// Value ± ErrBound with overwhelming probability.
-func (e *BatchEngine) attemptDegraded(ctx context.Context, w *batchWorker, q PairQuery, seed uint64) (Estimate, error) {
+// beginDegraded begins a degraded-tier attempt: a low-walk Monte Carlo
+// estimate whose ErrBound end sets to four CI half-widths plus a
+// truncation allowance — conservative enough that the true resistance lies
+// within Value ± ErrBound with overwhelming probability.
+func (e *BatchEngine) beginDegraded(ctx context.Context, w *batchWorker, q PairQuery, seed uint64) (*attempt, error) {
 	deg, err := w.degraded()
 	if err != nil {
-		return Estimate{}, fatalError{err}
+		return nil, fatalError{err}
 	}
-	var res Estimate
-	var half float64
+	a := &attempt{pos: -1, deg: deg}
 	err = guard.Run(func() error {
 		deg.Reseed(randx.New(seed ^ 0xabcdef))
 		var derr error
-		res, half, derr = deg.PairWithCIContext(ctx, q.S, q.T)
+		a.job, derr = deg.StartPairWithCI(ctx, q.S, q.T)
 		return derr
 	})
 	if err != nil {
-		if errors.Is(err, guard.ErrInternal) {
-			w.deg = nil // poisoned: drop instead of recycling
-			e.metrics.Panics.Inc()
-		}
-		return Estimate{}, err
+		return nil, e.failed(w, a, err)
 	}
-	res.ErrBound = 4 * half
-	if res.Walks > 0 && res.LandmarkHits < res.Walks {
-		// Truncated walks bias the estimate low by at most their share of
-		// the total mass; widen the bound by that fraction of the value.
-		res.ErrBound += res.Value * float64(res.Walks-res.LandmarkHits) / float64(res.Walks)
+	return a, nil
+}
+
+// failed returns attempt a's error. A recovered panic poisons the
+// estimator a ran on and counts in Panics.
+func (e *BatchEngine) failed(w *batchWorker, a *attempt, err error) error {
+	if errors.Is(err, guard.ErrInternal) {
+		w.poison(a)
+		e.metrics.Panics.Inc()
+	}
+	return err
+}
+
+// end finishes attempt a once its walks are over: runErr is the walks'
+// error (a cancellation, or a panic recovered from them). A panic poisons
+// the attempt's estimator (see failed).
+func (e *BatchEngine) end(w *batchWorker, a *attempt, runErr error) (Estimate, error) {
+	var res Estimate
+	err := runErr
+	if !errors.Is(err, guard.ErrInternal) {
+		err = guard.Run(func() error {
+			var ferr error
+			res, ferr = a.job.Finish(runErr)
+			return ferr
+		})
+	}
+	if err != nil {
+		return Estimate{}, e.failed(w, a, err)
+	}
+	if a.pos < 0 {
+		res.ErrBound = 4 * a.job.(core.CIJob).HalfWidth()
+		if res.Walks > 0 && res.LandmarkHits < res.Walks {
+			// Truncated walks bias the estimate low by at most their share
+			// of the total mass; widen the bound by that fraction of the
+			// value.
+			res.ErrBound += res.Value * float64(res.Walks-res.LandmarkHits) / float64(res.Walks)
+		}
+	} else if e.portfolio != nil {
+		e.portfolio.NoteRouted(a.pos)
+		e.metrics.PortfolioQueries.Inc()
 	}
 	return res, nil
 }
 
-// runQuery answers query i into out, applying (in order) the retry budget
-// for transient failures, the degraded tier when degrade is set, and the
-// landmark-conflict fallback. It returns a non-nil error only for
-// batch-fatal conditions (cancellation, estimator construction failure).
-func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, q PairQuery, degrade bool, out *PairResult) error {
+// querySeed is the stream seed of query i's first attempt.
+func (e *BatchEngine) querySeed(i int) uint64 { return e.seed + uint64(i+1)*0x9e3779b97f4a7c15 }
+
+// laneQuery is one batch query whose first attempt walks in its worker's
+// lanes. It confines a panic in its job's callbacks to itself, and once
+// its walks are over it finishes the attempt and settles the query.
+type laneQuery struct {
+	w       *batchWorker
+	ctx     context.Context
+	fi      *faultinject.Hook
+	i       int
+	degrade bool
+	out     *PairResult // the query, and its result once settled
+	a       *attempt
+	err     error // a panic recovered from the job's Next or Done
+}
+
+// Next implements walk.Job.
+func (lq *laneQuery) Next() (walk.Walk, bool) {
+	if lq.err == nil {
+		if wk, ok := lq.next(); ok {
+			return wk, true
+		}
+	}
+	lq.finish(lq.err)
+	return walk.Walk{}, false
+}
+
+func (lq *laneQuery) next() (walk.Walk, bool) {
+	defer lq.recover()
+	return lq.a.job.Next()
+}
+
+// Done implements walk.Job.
+func (lq *laneQuery) Done(na, nb, steps int, absorbed bool) {
+	if lq.err == nil {
+		lq.done(na, nb, steps, absorbed)
+	}
+}
+
+func (lq *laneQuery) done(na, nb, steps int, absorbed bool) {
+	defer lq.recover()
+	lq.a.job.Done(na, nb, steps, absorbed)
+}
+
+func (lq *laneQuery) recover() {
+	if v := recover(); v != nil {
+		lq.err = guard.FromPanic(v)
+	}
+}
+
+// finish ends the first attempt with its walks' error and settles the
+// query: retries, if any, run right here, outside the lanes.
+func (lq *laneQuery) finish(runErr error) {
+	w := lq.w
+	for k, other := range w.inflight {
+		if other == lq {
+			last := len(w.inflight) - 1
+			w.inflight[k], w.inflight[last] = w.inflight[last], nil
+			w.inflight = w.inflight[:last]
+			break
+		}
+	}
+	defer w.e.confine(lq.out)
+	res, err := w.e.end(w, lq.a, runErr)
+	if ferr := w.e.settle(lq.ctx, w, lq.fi, lq.i, lq.degrade, res, err, lq.out); ferr != nil && w.fatal == nil {
+		w.fatal = ferr
+	}
+}
+
+// confine fails query out with ErrInternal when a panic escapes its
+// attempts' guards — in a Retriable callback, say. beginQuery and
+// laneQuery.finish defer it, so the panic ends that one query and the
+// worker goes on to its next.
+func (e *BatchEngine) confine(out *PairResult) {
+	if v := recover(); v != nil {
+		e.metrics.Panics.Inc()
+		out.Estimate, out.Err, out.Degraded = Estimate{}, guard.FromPanic(v), false
+		out.Attempts = max(out.Attempts, 1)
+	}
+}
+
+// beginQuery starts query i: it runs the query's first attempt up to its
+// walks and returns it as a lane job, or answers the query outright (a
+// planned exact pair, a method without walks, or a first attempt that
+// failed before its walks) and returns nil.
+func (e *BatchEngine) beginQuery(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, q PairQuery, degrade bool, out *PairResult) *laneQuery {
+	out.PairQuery = q
+	defer e.confine(out)
 	if e.plan.Path == pathExact {
 		// Left for the grouped exact solve pairs() runs once the workers
 		// finish (see resolveExact), even when degrade is set: a shed query
@@ -486,7 +640,26 @@ func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinj
 		out.Err = errPlannedExact
 		return nil
 	}
-	qseed := e.seed + uint64(i+1)*0x9e3779b97f4a7c15
+	a, err := e.beginAttempt(ctx, w, fi, q, e.querySeed(i), degrade)
+	if err == nil {
+		lq := &laneQuery{w: w, ctx: ctx, fi: fi, i: i, degrade: degrade, out: out, a: a}
+		w.inflight = append(w.inflight, lq)
+		return lq
+	}
+	if ferr := e.settle(ctx, w, fi, i, degrade, Estimate{}, err, out); ferr != nil {
+		w.fatal = ferr
+	}
+	return nil
+}
+
+// settle answers query i (already in out) from its first attempt's
+// outcome (res, firstErr), applying (in order) the retry budget for transient failures, the
+// degraded marking when degrade is set, and the landmark-conflict
+// fallback. Retried attempts run one at a time, each its own one-job lane
+// run. It returns a non-nil error only for batch-fatal conditions
+// (cancellation, estimator construction failure).
+func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, degrade bool, res Estimate, firstErr error, out *PairResult) error {
+	q, qseed := out.PairQuery, e.querySeed(i)
 	maxAttempts := e.opts.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 1
@@ -501,32 +674,21 @@ func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinj
 		// timing never perturbs the estimator's sampling stream.
 		jitter = randx.New(qseed ^ 0x94d049bb133111eb).Float64
 	}
-	var res Estimate
-	degraded := false
 	attempts, err := retry.Do(ctx, retry.Policy{MaxAttempts: maxAttempts}, jitter, retriable,
 		func() { e.metrics.Retries.Inc() },
 		func(attempt int) error {
-			seed := qseed
-			if attempt > 1 {
-				// Salted stream per retry: resampling with fresh randomness
-				// is the point of retrying a Monte Carlo estimator.
-				seed = qseed + uint64(attempt-1)*0x6a09e667f3bcc909
+			if attempt == 1 {
+				return firstErr
 			}
-			// Guard the fire itself: an injected panic at this site must
-			// surface as ErrInternal, not kill the worker goroutine.
-			if ferr := guard.Run(fi.Fire); ferr != nil {
-				if errors.Is(ferr, guard.ErrInternal) {
-					e.metrics.Panics.Inc()
-				}
-				return ferr
+			// Salted stream per retry: resampling with fresh randomness
+			// is the point of retrying a Monte Carlo estimator.
+			seed := qseed + uint64(attempt-1)*0x6a09e667f3bcc909
+			a, aerr := e.beginAttempt(ctx, w, fi, q, seed, degrade)
+			if aerr != nil {
+				return aerr
 			}
-			var aerr error
-			if degrade {
-				res, aerr = e.attemptDegraded(ctx, w, q, seed)
-				degraded = aerr == nil
-			} else {
-				res, aerr = e.attempt(ctx, w, q, seed)
-			}
+			runErr := guard.Run(func() error { return e.sampler.RunJob(ctx, a.job) })
+			res, aerr = e.end(w, a, runErr)
 			return aerr
 		})
 	out.Attempts = attempts
@@ -544,13 +706,67 @@ func (e *BatchEngine) runQuery(ctx context.Context, w *batchWorker, fi *faultinj
 	// all of them afterwards in one grouped multi-RHS exact solve (see
 	// resolveExact). Sentinels may arrive wrapped, so downstream
 	// matching uses errors.Is rather than ==.
-	if degraded && err == nil {
+	if degrade && err == nil {
 		out.Degraded = true
 		e.metrics.Degraded.Inc()
+	}
+	if err != nil {
+		res = Estimate{}
 	}
 	out.Estimate = res
 	out.Err = err
 	return nil
+}
+
+// runWorker answers queries first, first+stride, ... into results with up
+// to walk.Lanes of them in flight. Each query's first attempt begins here
+// — the batch fault hook, routing, Reseed, and for BiPush both pushes —
+// then walks in lockstep with the others' in the worker's lanes, and is
+// finished and settled once its walks are over. Every query draws from its
+// own stream, so no answer depends on which queries shared its lanes.
+// degrade reports whether a query starting now goes to the degraded tier.
+func (e *BatchEngine) runWorker(ctx context.Context, w *batchWorker, fi *faultinject.Hook, queries []PairQuery, results []PairResult, first, stride int, degrade func() bool) error {
+	done := cancel.Done(ctx)
+	i := first
+	next := func() walk.Job {
+		for i < len(queries) && w.fatal == nil {
+			k := i
+			i += stride
+			if done != nil {
+				select {
+				case <-done:
+					w.fatal = cancel.Wrap(ctx.Err())
+					return nil
+				default:
+				}
+			}
+			if lq := e.beginQuery(ctx, w, fi, k, queries[k], degrade(), &results[k]); lq != nil {
+				return lq
+			}
+		}
+		return nil
+	}
+	for {
+		err := guard.Run(func() error { return e.sampler.RunJobs(ctx, next) })
+		switch {
+		case err == nil:
+			return w.fatal
+		case errors.Is(err, guard.ErrInternal):
+			// A panic in the walk kernel itself, outside any one query's
+			// job: every query in flight loses its attempt to it.
+			for len(w.inflight) > 0 {
+				w.inflight[0].finish(err)
+			}
+		default:
+			// Canceled: the batch fails with err. Finish only records each
+			// query's aborted work in the metrics, so its error (err again,
+			// or a recovered panic) is dropped.
+			for _, lq := range w.inflight {
+				_ = guard.Run(func() error { _, ferr := lq.a.job.Finish(err); return ferr })
+			}
+			return err
+		}
+	}
 }
 
 // Pairs answers a batch of queries in parallel. Worker w deterministically
@@ -600,7 +816,6 @@ func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegra
 	}
 	workers := e.workers(len(queries))
 
-	done := cancel.Done(ctx)
 	var deadline time.Time
 	hasDeadline := false
 	if ctx != nil {
@@ -609,6 +824,10 @@ func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegra
 	// Fault hook, fired once per query attempt; nil unless armed.
 	fi := faultinject.At(faultinject.SiteBatchQuery)
 	results := make([]PairResult, len(queries))
+	degrade := func() bool {
+		return forceDegraded ||
+			(e.opts.DegradeBelow > 0 && hasDeadline && time.Until(deadline) < e.opts.DegradeBelow)
+	}
 	// Workers keep their estimators until the whole batch is done: a
 	// worker that finished early must not hand its estimators to a sibling
 	// still starting up, or the number built would depend on scheduling.
@@ -620,25 +839,7 @@ func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegra
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			bw := &bws[worker]
-			for i := worker; i < len(queries); i += workers {
-				if done != nil {
-					select {
-					case <-done:
-						errs[worker] = cancel.Wrap(ctx.Err())
-						return
-					default:
-					}
-				}
-				q := queries[i]
-				results[i].PairQuery = q
-				degrade := forceDegraded ||
-					(e.opts.DegradeBelow > 0 && hasDeadline && time.Until(deadline) < e.opts.DegradeBelow)
-				if err := e.runQuery(ctx, bw, fi, i, q, degrade, &results[i]); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
+			errs[worker] = e.runWorker(ctx, &bws[worker], fi, queries, results, worker, workers, degrade)
 		}(w)
 	}
 	wg.Wait()

@@ -505,6 +505,48 @@ func BenchmarkPairsBatchParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPairsBatchBiPush is batch-social's call shape: one routed
+// BiPush PairsContext call of 24 uniform pairs on BA(5000, 4) through a
+// K=4 sketch portfolio, on a warm engine with the default worker count
+// (GOMAXPROCS), so each worker keeps up to four queries in its walk lanes.
+func BenchmarkPairsBatchBiPush(b *testing.B) {
+	g, err := landmarkrd.BarabasiAlbert(5000, 4, 2023)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 4, Mode: landmarkrd.DiagSketch, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := landmarkrd.NewBatchEngine(g, landmarkrd.BiPush, landmarkrd.BatchOptions{Portfolio: pf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 24
+	rng := randx.New(33)
+	queries := make([]landmarkrd.PairQuery, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range queries {
+			s, t := rng.Intn(g.N()), rng.Intn(g.N())
+			for s == t {
+				t = rng.Intn(g.N())
+			}
+			queries[j] = landmarkrd.PairQuery{S: s, T: t}
+		}
+		res, err := engine.PairsContext(context.Background(), queries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pair")
+}
+
 // BenchmarkPairsBatchPooled is the pooled counterpart of
 // BenchmarkPairsBatchParallel: one BatchEngine serves every iteration, so
 // estimator scratch buffers and landmark selection are amortized. Compare

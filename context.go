@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"landmarkrd/internal/cancel"
+	"landmarkrd/internal/core"
 	"landmarkrd/internal/lap"
 )
 
@@ -48,5 +49,22 @@ func (e *Estimator) PairContext(ctx context.Context, s, t int) (Estimate, error)
 		return e.push.PairContext(ctx, s, t)
 	default:
 		return e.bipush.PairContext(ctx, s, t)
+	}
+}
+
+// startPair begins a pair query and returns it as a job whose walks are
+// still to run (see core.PairJob). Push has no walks: it answers here.
+func (e *Estimator) startPair(ctx context.Context, s, t int) (core.PairJob, error) {
+	switch e.method {
+	case AbWalk:
+		return e.ab.StartPair(ctx, s, t)
+	case Push:
+		est, err := e.push.PairContext(ctx, s, t)
+		if err != nil {
+			return nil, err
+		}
+		return core.Answered(est), nil
+	default:
+		return e.bipush.StartPair(ctx, s, t)
 	}
 }

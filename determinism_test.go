@@ -7,6 +7,7 @@ package landmarkrd
 // math.Float64bits, not an epsilon. Only Duration (wall time) is excluded.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -116,41 +117,94 @@ func TestEstimatorReseedMatchesFreshConstruction(t *testing.T) {
 
 // TestBatchWorkerCountInvariance is the batch-layer determinism contract:
 // the same batch at worker counts 1, 2, 3, 7 and GOMAXPROCS-default must
-// be byte-identical, for every method, pooled or not.
+// be byte-identical, for every method, pooled or not. Each worker keeps up
+// to four queries in its walk lanes, so the batch sizes (1, 3, 5, 40, 97)
+// give workers every number of queries in flight, and which queries share
+// lanes changes with the worker count. The routed case mixes a K=4
+// portfolio's landmarks and holds landmark-conflict pairs; the degraded
+// tier and AdaptivePairs walk in lanes too.
 func TestBatchWorkerCountInvariance(t *testing.T) {
 	g := determinismGraph(t)
-	queries := make([]PairQuery, 40)
-	for i := range queries {
-		queries[i] = PairQuery{S: (i*13 + 1) % g.N(), T: (i*37 + 5) % g.N()}
+	batch := func(n int) []PairQuery {
+		queries := make([]PairQuery, n)
+		for i := range queries {
+			queries[i] = PairQuery{S: (i*13 + 1) % g.N(), T: (i*37 + 5) % g.N()}
+		}
+		return queries
+	}
+	pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 4, Mode: DiagSketch, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := batch(41)
+	for j, v := range pf.Landmarks {
+		routed = append(routed, PairQuery{S: v, T: (v + 7) % g.N()}, PairQuery{S: 3, T: v})
+		if j > 0 {
+			routed = append(routed, PairQuery{S: pf.Landmarks[0], T: v}) // conflicts with two members
+		}
+	}
+	pinned := func(workers int) BatchOptions {
+		return BatchOptions{Options: Options{Seed: 11}, Workers: workers, PinLandmark: true, Landmark: g.MaxDegreeVertex()}
 	}
 	for _, m := range []Method{AbWalk, Push, BiPush, Auto} {
 		t.Run(m.String(), func(t *testing.T) {
-			var want []string
-			for _, workers := range []int{1, 2, 3, 7, 0} {
-				opts := BatchOptions{Options: Options{Seed: 11}, Workers: workers, PinLandmark: true, Landmark: g.MaxDegreeVertex()}
-				res, err := Pairs(g, m, queries, opts)
-				if err != nil {
-					t.Fatalf("Pairs(workers=%d): %v", workers, err)
-				}
-				keys := make([]string, len(res))
-				for i, r := range res {
-					if r.Err != nil {
-						t.Fatalf("query %d: %v", i, r.Err)
-					}
-					keys[i] = estimateKey(r.Estimate)
-				}
-				if want == nil {
-					want = keys
-					continue
-				}
-				for i := range keys {
-					if keys[i] != want[i] {
-						t.Fatalf("workers=%d: query %d differs from workers=1:\n  %s\n  %s",
-							workers, i, keys[i], want[i])
-					}
-				}
+			for _, n := range []int{1, 3, 5, 40, 97} {
+				queries := batch(n)
+				requireWorkerInvariant(t, fmt.Sprintf("n=%d", n), []int{1, 2, 3, 7, 0}, func(workers int) ([]PairResult, error) {
+					return Pairs(g, m, queries, pinned(workers))
+				})
 			}
+			requireWorkerInvariant(t, "portfolio", []int{1, 2, 3, 7, 0}, func(workers int) ([]PairResult, error) {
+				return Pairs(g, m, routed, BatchOptions{Options: Options{Seed: 5}, Workers: workers, Portfolio: pf})
+			})
+			requireWorkerInvariant(t, "degraded", []int{1, 2, 3, 7, 0}, func(workers int) ([]PairResult, error) {
+				e, err := NewBatchEngine(g, m, pinned(workers))
+				if err != nil {
+					return nil, err
+				}
+				return e.DegradedPairsContext(context.Background(), batch(40))
+			})
 		})
+	}
+	t.Run("AdaptivePairs", func(t *testing.T) {
+		queries := append(batch(23), PairQuery{S: g.MaxDegreeVertex(), T: 4}, PairQuery{S: 9, T: 9})
+		requireWorkerInvariant(t, "adaptive", []int{1, 2, 4}, func(workers int) ([]PairResult, error) {
+			e, err := NewBatchEngine(g, AbWalk, pinned(workers))
+			if err != nil {
+				return nil, err
+			}
+			return e.AdaptivePairs(queries, AdaptiveBatchOptions{TotalWalks: 4000, PilotWalks: 16})
+		})
+	})
+}
+
+// requireWorkerInvariant runs one batch at each worker count and requires
+// every result to succeed with the estimate and marking of the first run.
+func requireWorkerInvariant(t *testing.T, name string, workerCounts []int, run func(workers int) ([]PairResult, error)) {
+	t.Helper()
+	var want []string
+	for _, workers := range workerCounts {
+		res, err := run(workers)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", name, workers, err)
+		}
+		keys := make([]string, len(res))
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%s workers=%d query %d: %v", name, workers, i, r.Err)
+			}
+			keys[i] = fmt.Sprintf("%s degraded=%v", estimateKey(r.Estimate), r.Degraded)
+		}
+		if want == nil {
+			want = keys
+			continue
+		}
+		for i := range keys {
+			if keys[i] != want[i] {
+				t.Fatalf("%s workers=%d: query %d differs from workers=%d:\n  %s\n  %s",
+					name, workers, i, workerCounts[0], keys[i], want[i])
+			}
+		}
 	}
 }
 
@@ -197,27 +251,34 @@ func TestBatchEngineWarmPoolIdentical(t *testing.T) {
 
 // TestIndexBuildWorkerInvariance: the DiagMC index (the only randomized
 // build mode) must be byte-identical across worker counts for a fixed
-// seed, end to end through SingleSource.
+// seed, end to end through SingleSource. Each build worker runs its
+// vertices' walks in lanes, so the worker count changes which vertices
+// walk side by side; the weighted graph steps through the alias table.
 func TestIndexBuildWorkerInvariance(t *testing.T) {
-	g := determinismGraph(t)
-	landmark := g.MaxDegreeVertex()
-	var want []float64
-	for _, workers := range []int{1, 3, 0} {
-		idx, err := BuildLandmarkIndexOpts(g, landmark, IndexBuildOptions{Mode: DiagMC, Seed: 9, Workers: workers})
-		if err != nil {
-			t.Fatalf("build (workers=%d): %v", workers, err)
-		}
-		ss, err := SingleSource(idx, 42)
-		if err != nil {
-			t.Fatalf("SingleSource: %v", err)
-		}
-		if want == nil {
-			want = ss
-			continue
-		}
-		for v := range ss {
-			if math.Float64bits(ss[v]) != math.Float64bits(want[v]) {
-				t.Fatalf("workers=%d: entry %d = %x, want %x", workers, v, math.Float64bits(ss[v]), math.Float64bits(want[v]))
+	weighted, _, err := LoadEdgeList(corpusDir + "/ba_120_2_weighted.edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"ba_600_3": determinismGraph(t), "ba_120_2_weighted": weighted} {
+		landmark := g.MaxDegreeVertex()
+		var want []float64
+		for _, workers := range []int{1, 2, 3, 4, 0} {
+			idx, err := BuildLandmarkIndexOpts(g, landmark, IndexBuildOptions{Mode: DiagMC, Seed: 9, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s build (workers=%d): %v", name, workers, err)
+			}
+			ss, err := SingleSource(idx, 42)
+			if err != nil {
+				t.Fatalf("SingleSource: %v", err)
+			}
+			if want == nil {
+				want = ss
+				continue
+			}
+			for v := range ss {
+				if math.Float64bits(ss[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s workers=%d: entry %d = %x, want %x", name, workers, v, math.Float64bits(ss[v]), math.Float64bits(want[v]))
+				}
 			}
 		}
 	}

@@ -120,6 +120,23 @@ func TestOutOfRangeVerticesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
 	}
+	pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 4, Mode: DiagExactCG, Seed: 1})
+	if err != nil {
+		t.Fatalf("BuildPortfolioIndex: %v", err)
+	}
+	routed, err := NewBatchEngine(g, BiPush, BatchOptions{Portfolio: pf, Options: Options{Seed: 1}})
+	if err != nil {
+		t.Fatalf("NewBatchEngine: %v", err)
+	}
+	// routedErr returns q's error from a routed batch, in which the query
+	// beside it must still be answered.
+	routedErr := func(q PairQuery) error {
+		res, err := routed.Pairs([]PairQuery{q, {S: 1, T: 2}})
+		if err != nil || res[1].Err != nil {
+			t.Fatalf("batch err %v, valid query's err %v", err, res[1].Err)
+		}
+		return res[0].Err
+	}
 	cases := []struct {
 		name string
 		call func() error
@@ -132,11 +149,18 @@ func TestOutOfRangeVerticesRejected(t *testing.T) {
 		{"DynamicAddEdgeBad", func() error { return dyn.AddEdge(0, g.N(), 1) }},
 		{"DynamicResistanceBad", func() error { _, err := dyn.Resistance(-2, 1); return err }},
 		{"PotentialNegative", func() error { _, err := Potential(g, -1, 1); return err }},
+		// Portfolio routing indexes the landmark columns by s and t.
+		{"RoutedBatchNegative", func() error { return routedErr(PairQuery{S: -1, T: 3}) }},
+		{"RoutedBatchTooLarge", func() error { return routedErr(PairQuery{S: 4, T: g.N()}) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.call(); err == nil {
+			err := c.call()
+			if err == nil {
 				t.Error("out-of-range vertex accepted")
+			}
+			if errors.Is(err, ErrInternal) {
+				t.Errorf("out-of-range vertex raised a panic: %v", err)
 			}
 		})
 	}

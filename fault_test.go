@@ -167,6 +167,135 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestFaultMatrixMidLane fires one walk.loop fault in the middle of the
+// walks while a worker has four queries in its lanes. The fault must stay
+// with the query it hit: that query fails (panic) or is retried on its
+// salted stream (error), and every other query answers exactly as without
+// the fault.
+func TestFaultMatrixMidLane(t *testing.T) {
+	defer faultinject.Reset()
+	g, queries := faultBatchQueries(t)
+	for _, tc := range []struct {
+		name  string
+		fault faultinject.Fault
+	}{
+		{"panic", faultinject.Fault{Panic: "injected", After: 250, Count: 1}},
+		{"error", faultinject.Fault{After: 250, Count: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			engine := newFaultEngine(t, g, landmarkrd.AbWalk, landmarkrd.BatchOptions{
+				Options: landmarkrd.Options{Walks: 200}, Workers: 1, MaxAttempts: 2,
+			})
+			baseline, err := engine.Pairs(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Arm(faultinject.SiteWalkLoop, tc.fault)
+			res, err := engine.Pairs(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if faultinject.Fires(faultinject.SiteWalkLoop) != 1 {
+				t.Fatalf("fault fired %d times, want 1", faultinject.Fires(faultinject.SiteWalkLoop))
+			}
+			hit := 0
+			for i, r := range res {
+				if sameEstimate(r.Estimate, baseline[i].Estimate) && r.Err == nil && r.Attempts == 1 {
+					continue
+				}
+				hit++
+				switch tc.name {
+				case "panic":
+					if !errors.Is(r.Err, landmarkrd.ErrInternal) || r.Attempts != 1 {
+						t.Errorf("query %d: err %v after %d attempts, want ErrInternal after 1", i, r.Err, r.Attempts)
+					}
+				case "error":
+					if r.Err != nil || r.Attempts != 2 || r.Estimate.Value <= 0 {
+						t.Errorf("query %d: err %v, %d attempts, value %g; want a retried success", i, r.Err, r.Attempts, r.Estimate.Value)
+					}
+				}
+			}
+			if hit != 1 {
+				t.Errorf("%d queries affected by one fault, want 1", hit)
+			}
+			stats := engine.Stats()
+			wantPanics, wantRetries := int64(0), int64(0)
+			if tc.name == "panic" {
+				wantPanics = 1
+			} else {
+				wantRetries = 1
+			}
+			if stats.Panics != wantPanics || stats.Retries != wantRetries {
+				t.Errorf("Panics %d, Retries %d; want %d, %d", stats.Panics, stats.Retries, wantPanics, wantRetries)
+			}
+		})
+	}
+}
+
+// pairsWithin runs one Pairs call and fails the test if it has not
+// returned within a minute.
+func pairsWithin(t *testing.T, e *landmarkrd.BatchEngine, queries []landmarkrd.PairQuery) []landmarkrd.PairResult {
+	t.Helper()
+	type outcome struct {
+		res []landmarkrd.PairResult
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := e.Pairs(queries)
+		ch <- outcome{res, err}
+	}()
+	select {
+	case o := <-ch:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.res
+	case <-time.After(time.Minute):
+		t.Fatal("Pairs did not return within a minute")
+		return nil
+	}
+}
+
+// TestBatchRetriablePanic: a panic outside the attempt guards — here in
+// the Retriable callback — fails its own query with ErrInternal, and the
+// batch call returns with every other query answered. The callback runs
+// once for a query that failed while it began (an out-of-range vertex)
+// and once for one whose walks failed in the lanes (an injected walk.loop
+// error).
+func TestBatchRetriablePanic(t *testing.T) {
+	defer faultinject.Reset()
+	g, queries := faultBatchQueries(t)
+	faultinject.Arm(faultinject.SiteWalkLoop, faultinject.Fault{After: 250, Count: 1})
+	engine := newFaultEngine(t, g, landmarkrd.AbWalk, landmarkrd.BatchOptions{
+		Options: landmarkrd.Options{Walks: 200}, Workers: 1, MaxAttempts: 2,
+		Retriable: func(error) bool { panic("retriable") },
+	})
+	failed := 0
+	for i, r := range pairsWithin(t, engine, append(queries, landmarkrd.PairQuery{S: g.N(), T: 3})) {
+		if r.Err == nil {
+			if r.Estimate.Value <= 0 || r.Attempts != 1 {
+				t.Errorf("query %d: value %g after %d attempts", i, r.Estimate.Value, r.Attempts)
+			}
+			continue
+		}
+		failed++
+		if !errors.Is(r.Err, landmarkrd.ErrInternal) || r.Estimate != (landmarkrd.Estimate{}) || r.Attempts != 1 {
+			t.Errorf("query %d: err %v, estimate %+v, %d attempts; want ErrInternal, no estimate, 1 attempt", i, r.Err, r.Estimate, r.Attempts)
+		}
+	}
+	if faultinject.Fires(faultinject.SiteWalkLoop) != 1 {
+		t.Fatalf("walk.loop fault fired %d times, want 1", faultinject.Fires(faultinject.SiteWalkLoop))
+	}
+	if failed != 2 {
+		t.Errorf("%d queries failed, want 2 (the faulted one and the out-of-range one)", failed)
+	}
+	if got := engine.Stats().Panics; got != 2 {
+		t.Errorf("Panics %d, want 2", got)
+	}
+}
+
 // TestRetryRecoversTransientFault arms a one-shot fault and proves the
 // retry path absorbs it: every query succeeds, exactly the faulted query
 // reports a second attempt, and the Retries counter records it.

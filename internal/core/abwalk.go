@@ -83,6 +83,162 @@ func (e *AbWalkEstimator) SetMetrics(m *obs.Metrics) { e.metrics = m }
 // deterministic function of rng regardless of prior use.
 func (e *AbWalkEstimator) Reseed(rng *randx.RNG) { e.rng = rng }
 
+// abWalkQuery is one AbWalk query as a walk.Job: Walks walk-pairs, each
+// an absorbed walk from s (watching s and t) and then one from t (watching
+// t and s), with the fault hook fired once per walk-pair. Finish combines
+// the visit counts into the landmark identity, as sums (PairContext) or as
+// the per-walk-pair statistic whose sample variance gives a confidence
+// half-width (PairWithCIContext).
+type abWalkQuery struct {
+	e      *AbWalkEstimator
+	start  time.Time
+	s, t   int
+	o      AbWalkOptions
+	rng    *randx.RNG
+	fi     *faultinject.Hook
+	withCI bool
+	ds, dt float64
+	begun  int // walks begun, two per walk-pair
+	err    error
+
+	walksDone, hits                    int
+	steps                              int64
+	visitSS, visitST, visitTT, visitTS float64 // sums over all walks
+	vSS, vST                           int     // the current pair's walk from s
+	sum, sumSq                         float64 // per-walk-pair statistic
+	half                               float64 // set by Finish with CI
+}
+
+// StartPair validates the query and returns its walks as a job drawing
+// from the estimator's current stream. The job keeps that stream: a later
+// Reseed gives the next query a new one and leaves this job's alone.
+func (e *AbWalkEstimator) StartPair(ctx context.Context, s, t int) (PairJob, error) {
+	return e.start(ctx, s, t, false)
+}
+
+// StartPairWithCI is StartPair for PairWithCIContext's estimate; the
+// job's HalfWidth holds the confidence half-width once it is finished.
+func (e *AbWalkEstimator) StartPairWithCI(ctx context.Context, s, t int) (CIJob, error) {
+	return e.start(ctx, s, t, true)
+}
+
+func (e *AbWalkEstimator) start(ctx context.Context, s, t int, withCI bool) (CIJob, error) {
+	start := time.Now()
+	if err := validateQuery(e.g, e.landmark, s, t); err != nil {
+		e.metrics.ObserveQuery(obs.QueryObservation{Err: true})
+		return nil, err
+	}
+	if s == t {
+		return answered{Estimate{Converged: true}}, nil
+	}
+	q := &abWalkQuery{
+		e: e, start: start, s: s, t: t, o: e.opts.withDefaults(e.g.N()), rng: e.rng, withCI: withCI,
+		ds: e.g.WeightedDegree(s), dt: e.g.WeightedDegree(t),
+	}
+	if cancel.Done(ctx) != nil {
+		if err := cancel.Check(ctx); err != nil {
+			q.abort(err)
+			return nil, err
+		}
+	}
+	// Fault hook, fired once per walk-pair; nil unless armed.
+	q.fi = faultinject.At(faultinject.SiteWalkLoop)
+	return q, nil
+}
+
+// Next implements walk.Job.
+func (q *abWalkQuery) Next() (walk.Walk, bool) {
+	if q.err != nil || q.begun == 2*q.o.Walks {
+		return walk.Walk{}, false
+	}
+	w := walk.Walk{Src: q.s, V: q.e.landmark, A: q.s, B: q.t, MaxSteps: q.o.MaxSteps, RNG: q.rng}
+	if q.begun%2 == 0 {
+		if err := q.fi.Fire(); err != nil {
+			q.err = err
+			return walk.Walk{}, false
+		}
+	} else {
+		w.Src, w.A, w.B = q.t, q.t, q.s
+	}
+	q.begun++
+	return w, true
+}
+
+// Done implements walk.Job.
+func (q *abWalkQuery) Done(na, nb, steps int, absorbed bool) {
+	q.steps += int64(steps)
+	if q.begun%2 == 1 { // the walk from s
+		q.visitSS += float64(na)
+		q.visitST += float64(nb)
+		q.vSS, q.vST = na, nb
+	} else {
+		q.visitTT += float64(na)
+		q.visitTS += float64(nb)
+		x := float64(q.vSS)/q.ds + float64(na)/q.dt - float64(q.vST)/q.dt - float64(nb)/q.ds
+		q.sum += x
+		q.sumSq += x * x
+	}
+	q.walksDone++
+	if absorbed {
+		q.hits++
+	}
+}
+
+// abort records the walks sampled before a failure.
+func (q *abWalkQuery) abort(cause error) {
+	ob := obs.QueryObservation{
+		Duration:  time.Since(q.start),
+		Walks:     int64(q.walksDone),
+		WalkSteps: q.steps,
+	}
+	if errors.Is(cause, cancel.ErrCanceled) {
+		ob.Canceled = true
+	} else {
+		ob.Err = true
+	}
+	q.e.metrics.ObserveQuery(ob)
+}
+
+// HalfWidth returns the 95% normal-approximation half-width Finish
+// computed for a query started by StartPairWithCI.
+func (q *abWalkQuery) HalfWidth() float64 { return q.half }
+
+// Finish implements PairJob.
+func (q *abWalkQuery) Finish(runErr error) (Estimate, error) {
+	if q.err == nil {
+		q.err = runErr
+	}
+	if q.err != nil {
+		q.abort(q.err)
+		return Estimate{}, q.err
+	}
+	nr := float64(q.o.Walks)
+	var val float64
+	if q.withCI {
+		val = q.sum / nr
+		variance := math.Max(0, q.sumSq/nr-val*val)
+		q.half = 1.96 * math.Sqrt(variance/nr)
+	} else {
+		val = q.visitSS/(nr*q.ds) + q.visitTT/(nr*q.dt) - q.visitST/(nr*q.dt) - q.visitTS/(nr*q.ds)
+	}
+	// Resistance is non-negative; sampling noise on near pairs can push
+	// the raw combination slightly below zero, so clamp rather than hand
+	// the caller an impossible value.
+	if val < 0 {
+		val = 0
+	}
+	est := Estimate{
+		Value:        val,
+		Walks:        2 * q.o.Walks,
+		WalkSteps:    q.steps,
+		LandmarkHits: q.hits,
+		Duration:     time.Since(q.start),
+		Converged:    q.hits == 2*q.o.Walks,
+	}
+	q.e.metrics.ObserveQuery(est.observation())
+	return est, nil
+}
+
 // Pair estimates r(s,t) from 2·Walks absorbed walks.
 func (e *AbWalkEstimator) Pair(s, t int) (Estimate, error) {
 	return e.PairContext(context.Background(), s, t)
@@ -95,88 +251,11 @@ func (e *AbWalkEstimator) Pair(s, t int) (Estimate, error) {
 // With a non-cancellable ctx the RNG stream and the estimate are
 // byte-identical to Pair.
 func (e *AbWalkEstimator) PairContext(ctx context.Context, s, t int) (Estimate, error) {
-	start := time.Now()
-	if err := validateQuery(e.g, e.landmark, s, t); err != nil {
-		e.metrics.ObserveQuery(obs.QueryObservation{Err: true})
+	q, err := e.StartPair(ctx, s, t)
+	if err != nil {
 		return Estimate{}, err
 	}
-	if s == t {
-		return Estimate{Converged: true}, nil
-	}
-	o := e.opts.withDefaults(e.g.N())
-	done := cancel.Done(ctx)
-	// Fault hook, fired once per walk iteration; nil unless armed.
-	fi := faultinject.At(faultinject.SiteWalkLoop)
-
-	var visitSS, visitST, visitTT, visitTS float64
-	var steps int64
-	hits := 0
-	walksDone := 0
-	aborted := func(cause error) (Estimate, error) {
-		ob := obs.QueryObservation{
-			Duration:  time.Since(start),
-			Walks:     int64(walksDone),
-			WalkSteps: steps,
-		}
-		if errors.Is(cause, cancel.ErrCanceled) {
-			ob.Canceled = true
-		} else {
-			ob.Err = true
-		}
-		e.metrics.ObserveQuery(ob)
-		return Estimate{}, cause
-	}
-	if done != nil {
-		if err := cancel.Check(ctx); err != nil {
-			return aborted(err)
-		}
-	}
-	for i := 0; i < o.Walks; i++ {
-		if err := fi.Fire(); err != nil {
-			return aborted(err)
-		}
-		nSS, nST, st, abs, err := e.sampler.AbsorbedCounts(ctx, s, e.landmark, s, t, o.MaxSteps, e.rng)
-		visitSS += float64(nSS)
-		visitST += float64(nST)
-		steps += int64(st)
-		if err != nil {
-			return aborted(err)
-		}
-		walksDone++
-		if abs {
-			hits++
-		}
-		nTT, nTS, st, abs, err := e.sampler.AbsorbedCounts(ctx, t, e.landmark, t, s, o.MaxSteps, e.rng)
-		visitTT += float64(nTT)
-		visitTS += float64(nTS)
-		steps += int64(st)
-		if err != nil {
-			return aborted(err)
-		}
-		walksDone++
-		if abs {
-			hits++
-		}
-	}
-	nr := float64(o.Walks)
-	ds, dt := e.g.WeightedDegree(s), e.g.WeightedDegree(t)
-	val := visitSS/(nr*ds) + visitTT/(nr*dt) - visitST/(nr*dt) - visitTS/(nr*ds)
-	// Resistance is non-negative; sampling noise on near pairs can push
-	// the raw combination slightly below zero, so clamp rather than hand
-	// the caller an impossible value.
-	if val < 0 {
-		val = 0
-	}
-	est := Estimate{
-		Value:        val,
-		Walks:        2 * o.Walks,
-		WalkSteps:    steps,
-		LandmarkHits: hits,
-		Duration:     time.Since(start),
-		Converged:    hits == 2*o.Walks,
-	}
-	e.metrics.ObserveQuery(est.observation())
-	return est, nil
+	return runPair(ctx, e.sampler, q)
 }
 
 // PairWithCI additionally returns a normal-approximation half-width for a
@@ -192,83 +271,10 @@ func (e *AbWalkEstimator) PairWithCI(s, t int) (Estimate, float64, error) {
 // PairWithCI. The batch engine's degraded tier uses the half-width to attach
 // an error bound to fallback answers.
 func (e *AbWalkEstimator) PairWithCIContext(ctx context.Context, s, t int) (Estimate, float64, error) {
-	start := time.Now()
-	if err := validateQuery(e.g, e.landmark, s, t); err != nil {
-		e.metrics.ObserveQuery(obs.QueryObservation{Err: true})
+	j, err := e.StartPairWithCI(ctx, s, t)
+	if err != nil {
 		return Estimate{}, 0, err
 	}
-	if s == t {
-		return Estimate{Converged: true}, 0, nil
-	}
-	o := e.opts.withDefaults(e.g.N())
-	ds, dt := e.g.WeightedDegree(s), e.g.WeightedDegree(t)
-	done := cancel.Done(ctx)
-	fi := faultinject.At(faultinject.SiteWalkLoop)
-
-	var sum, sumSq float64
-	var steps int64
-	hits := 0
-	walksDone := 0
-	aborted := func(cause error) (Estimate, float64, error) {
-		ob := obs.QueryObservation{
-			Duration:  time.Since(start),
-			Walks:     int64(walksDone),
-			WalkSteps: steps,
-		}
-		if errors.Is(cause, cancel.ErrCanceled) {
-			ob.Canceled = true
-		} else {
-			ob.Err = true
-		}
-		e.metrics.ObserveQuery(ob)
-		return Estimate{}, 0, cause
-	}
-	if done != nil {
-		if err := cancel.Check(ctx); err != nil {
-			return aborted(err)
-		}
-	}
-	for i := 0; i < o.Walks; i++ {
-		if err := fi.Fire(); err != nil {
-			return aborted(err)
-		}
-		vSS, vST, st, abs, err := e.sampler.AbsorbedCounts(ctx, s, e.landmark, s, t, o.MaxSteps, e.rng)
-		steps += int64(st)
-		if err != nil {
-			return aborted(err)
-		}
-		walksDone++
-		if abs {
-			hits++
-		}
-		vTT, vTS, st, abs, err := e.sampler.AbsorbedCounts(ctx, t, e.landmark, t, s, o.MaxSteps, e.rng)
-		steps += int64(st)
-		if err != nil {
-			return aborted(err)
-		}
-		walksDone++
-		if abs {
-			hits++
-		}
-		x := float64(vSS)/ds + float64(vTT)/dt - float64(vST)/dt - float64(vTS)/ds
-		sum += x
-		sumSq += x * x
-	}
-	nr := float64(o.Walks)
-	mean := sum / nr
-	variance := math.Max(0, sumSq/nr-mean*mean)
-	half := 1.96 * math.Sqrt(variance/nr)
-	if mean < 0 {
-		mean = 0 // see Pair: resistance cannot be negative
-	}
-	est := Estimate{
-		Value:        mean,
-		Walks:        2 * o.Walks,
-		WalkSteps:    steps,
-		LandmarkHits: hits,
-		Duration:     time.Since(start),
-		Converged:    hits == 2*o.Walks,
-	}
-	e.metrics.ObserveQuery(est.observation())
-	return est, half, nil
+	est, err := runPair(ctx, e.sampler, j)
+	return est, j.HalfWidth(), err
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"time"
 
-	"landmarkrd/internal/cancel"
 	"landmarkrd/internal/faultinject"
 	"landmarkrd/internal/graph"
 	"landmarkrd/internal/obs"
@@ -50,7 +48,10 @@ type AdaptiveResult struct {
 
 // adaptivePairState is the accumulator a pair carries across the pilot and
 // top-up rounds. Its rng stream is private to the pair, so which worker
-// samples it — and in which round — cannot change the estimate.
+// samples it — in which round, and beside which other pairs in the walk
+// lanes — cannot change the estimate. In each round it is a walk.Job of
+// todo walk-pairs, each an absorbed walk from s and then one from t, with
+// the fault hook fired once per walk-pair.
 type adaptivePairState struct {
 	s, t     int
 	ds, dt   float64
@@ -64,6 +65,53 @@ type adaptivePairState struct {
 	elapsed  time.Duration
 	err      error
 	inactive bool // validation failed or s == t; sampled by neither round
+
+	// The current round's job.
+	landmark, maxSteps int
+	fi                 *faultinject.Hook
+	todo, begun        int // walks to begin this round, and begun so far
+	vSS, vST           int // the current walk-pair's walk from s
+	t0                 time.Time
+}
+
+// Next implements walk.Job. Once the round is over it adds the round's
+// wall time to the pair's.
+func (st *adaptivePairState) Next() (walk.Walk, bool) {
+	if st.err != nil || st.begun == st.todo {
+		st.elapsed += time.Since(st.t0)
+		return walk.Walk{}, false
+	}
+	w := walk.Walk{Src: st.s, V: st.landmark, A: st.s, B: st.t, MaxSteps: st.maxSteps, RNG: st.rng}
+	if st.begun%2 == 0 {
+		if err := st.fi.Fire(); err != nil {
+			st.err = err
+			st.elapsed += time.Since(st.t0)
+			return walk.Walk{}, false
+		}
+	} else {
+		w.Src, w.A, w.B = st.t, st.t, st.s
+	}
+	st.begun++
+	return w, true
+}
+
+// Done implements walk.Job. The per-walk-pair statistic is exactly
+// PairWithCIContext's combined visit-count expression, so a pilot+top-up
+// totalling k walk-pairs reproduces a k-walk fixed-budget estimate bit for
+// bit.
+func (st *adaptivePairState) Done(na, nb, steps int, absorbed bool) {
+	st.steps += int64(steps)
+	if absorbed {
+		st.hits++
+	}
+	if st.begun%2 == 1 {
+		st.vSS, st.vST = na, nb
+		return
+	}
+	x := float64(st.vSS)/st.ds + float64(na)/st.dt - float64(st.vST)/st.dt - float64(nb)/st.ds
+	st.sum += x
+	st.sumSq += x * x
+	st.walks++
 }
 
 // AdaptiveBatch estimates r(s,t) for a batch of pairs with a shared walk
@@ -133,32 +181,28 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 	workers := indexWorkers(IndexOptions{Workers: opts.Workers}, len(pairs))
 
 	// samplePhase runs count(i) additional walk-pairs for every live pair,
-	// sharded across workers. A canceled pair poisons the whole batch; any
-	// other sampling failure is recorded on the pair alone.
+	// sharded across workers, each worker running its pairs in the walk
+	// lanes. A canceled pair poisons the whole batch; any other sampling
+	// failure is recorded on the pair alone.
 	samplePhase := func(count func(i int) int) error {
 		return runIndexWorkers(workers, opts.Metrics, func(worker int, _ *obs.Metrics) error {
-			sampler := walk.NewSampler(g)
 			fi := faultinject.At(faultinject.SiteWalkLoop)
-			for i := worker; i < len(states); i += workers {
-				st := states[i]
-				if st.inactive || st.err != nil {
-					continue
-				}
-				n := count(i)
-				if n <= 0 {
-					continue
-				}
-				t0 := time.Now()
-				err := sampleWalkPairs(ctx, sampler, fi, landmark, st, n, maxSteps)
-				st.elapsed += time.Since(t0)
-				if err != nil {
-					if errors.Is(err, cancel.ErrCanceled) {
-						return err // batch-fatal
+			i := worker
+			return walk.NewSampler(g).RunJobs(ctx, func() walk.Job {
+				for ; i < len(states); i += workers {
+					st := states[i]
+					if st.inactive || st.err != nil {
+						continue
 					}
-					st.err = err
+					if n := count(i); n > 0 {
+						st.landmark, st.maxSteps, st.fi = landmark, maxSteps, fi
+						st.todo, st.begun, st.t0 = 2*n, 0, time.Now()
+						i += workers
+						return st
+					}
 				}
-			}
-			return nil
+				return nil
+			})
 		})
 	}
 
@@ -214,39 +258,6 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 		opts.Metrics.ObserveQuery(est.observation())
 	}
 	return results, nil
-}
-
-// sampleWalkPairs draws n walk-pairs for st, extending its running moments.
-// The per-walk statistic is exactly PairWithCIContext's combined visit-count
-// expression, so a pilot+top-up totalling k walk-pairs reproduces a k-walk
-// fixed-budget estimate bit for bit.
-func sampleWalkPairs(ctx context.Context, sampler *walk.Sampler, fi *faultinject.Hook, landmark int, st *adaptivePairState, n, maxSteps int) error {
-	for i := 0; i < n; i++ {
-		if err := fi.Fire(); err != nil {
-			return err
-		}
-		vSS, vST, steps, abs, err := sampler.AbsorbedCounts(ctx, st.s, landmark, st.s, st.t, maxSteps, st.rng)
-		st.steps += int64(steps)
-		if err != nil {
-			return err
-		}
-		if abs {
-			st.hits++
-		}
-		vTT, vTS, steps, abs, err := sampler.AbsorbedCounts(ctx, st.t, landmark, st.t, st.s, maxSteps, st.rng)
-		st.steps += int64(steps)
-		if err != nil {
-			return err
-		}
-		if abs {
-			st.hits++
-		}
-		x := float64(vSS)/st.ds + float64(vTT)/st.dt - float64(vST)/st.dt - float64(vTS)/st.ds
-		st.sum += x
-		st.sumSq += x * x
-		st.walks++
-	}
-	return nil
 }
 
 // allocateByVariance splits extra walk-pairs across the live pairs

@@ -333,12 +333,13 @@ func buildDiagExact(g *graph.Graph, landmark int, diag []float64, opts IndexOpti
 }
 
 // buildDiagMC fills diag[t] with the absorbed-walk visit estimator,
-// sharded across the worker pool. Every vertex gets its own random stream
+// sharded across the worker pool; each worker walks four of its vertices
+// at a time in the walk lanes. Every vertex gets its own random stream
 // derived from a root seed drawn once from rng — the same reseeding scheme
 // the pooled batch engine uses per worker — so the estimate for t is
-// independent of which worker samples it and of the worker count. Walk
-// work counters accumulate in worker-local sinks and merge into
-// opts.Metrics at the end.
+// independent of which worker samples it, of the worker count, and of
+// which vertices share its lanes. Walk work counters accumulate in
+// worker-local sinks and merge into opts.Metrics at the end.
 func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions, workers int, rng *randx.RNG) error {
 	if rng == nil {
 		return fmt.Errorf("core: DiagMC index build requires an RNG")
@@ -359,31 +360,62 @@ func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions
 	// Fault hook, fired once per vertex across all workers; nil unless armed.
 	fi := faultinject.At(faultinject.SiteIndexBuild)
 	return runIndexWorkers(workers, opts.Metrics, func(worker int, local *obs.Metrics) error {
-		sampler := walk.NewSampler(g)
-		for t := worker; t < n; t += workers {
-			if t == landmark {
-				continue
-			}
-			if err := fi.Fire(); err != nil {
-				return err
-			}
-			vertexRNG := randx.New(root + uint64(t)*0x9e3779b97f4a7c15)
-			var visits, steps, truncated int64
-			for i := 0; i < walks; i++ {
-				nt, _, s, absorbed, _ := sampler.AbsorbedCounts(context.Background(), t, landmark, t, -1, maxSteps, vertexRNG)
-				visits += int64(nt)
-				steps += int64(s)
-				if !absorbed {
-					truncated++
+		var fired error // an injected fault, which ends the worker's share
+		t := worker
+		next := func() walk.Job {
+			for ; t < n && fired == nil; t += workers {
+				if t == landmark {
+					continue
 				}
+				if fired = fi.Fire(); fired != nil {
+					return nil
+				}
+				j := &diagMCJob{
+					t: t, landmark: landmark, walks: walks, maxSteps: maxSteps, deg: g.WeightedDegree(t),
+					rng: randx.New(root + uint64(t)*0x9e3779b97f4a7c15), diag: diag, metrics: local,
+				}
+				t += workers
+				return j
 			}
-			local.Walks.Add(int64(walks))
-			local.WalkSteps.Add(steps)
-			local.TruncatedWalks.Add(truncated)
-			diag[t] = float64(visits) / (float64(walks) * g.WeightedDegree(t))
+			return nil
 		}
-		return nil
+		// A background context never cancels, so RunJobs cannot fail.
+		_ = walk.NewSampler(g).RunJobs(context.Background(), next)
+		return fired
 	})
+}
+
+// diagMCJob is one vertex t of a DiagMC build as a walk.Job: walks absorbed
+// walks from t to the landmark, counting visits to t, on t's own stream.
+// When its walks are over it writes diag[t] and its work counters.
+type diagMCJob struct {
+	t, landmark, walks, maxSteps int
+	deg                          float64 // t's weighted degree
+	rng                          *randx.RNG
+	begun                        int
+	visits, steps, truncated     int64
+	diag                         []float64
+	metrics                      *obs.Metrics
+}
+
+func (j *diagMCJob) Next() (walk.Walk, bool) {
+	if j.begun == j.walks {
+		j.metrics.Walks.Add(int64(j.walks))
+		j.metrics.WalkSteps.Add(j.steps)
+		j.metrics.TruncatedWalks.Add(j.truncated)
+		j.diag[j.t] = float64(j.visits) / (float64(j.walks) * j.deg)
+		return walk.Walk{}, false
+	}
+	j.begun++
+	return walk.Walk{Src: j.t, V: j.landmark, A: j.t, B: -1, MaxSteps: j.maxSteps, RNG: j.rng}, true
+}
+
+func (j *diagMCJob) Done(nt, _, steps int, absorbed bool) {
+	j.visits += int64(nt)
+	j.steps += int64(steps)
+	if !absorbed {
+		j.truncated++
+	}
 }
 
 // MemoryBytes reports the index footprint.

@@ -50,18 +50,15 @@ func (r *RNG) Split() *RNG {
 	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The state is updated through
+// locals so that the method stays within the compiler's inlining budget:
+// the walk kernels draw once per step.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -86,20 +83,27 @@ func (r *RNG) Int32n(n int32) int32 {
 	return int32(r.boundedUint64(uint64(n)))
 }
 
-// boundedUint64 returns a uniform value in [0, n) using Lemire's
-// multiply-shift rejection method, which avoids modulo bias.
+// boundedUint64 returns a uniform value in [0, n), n > 0, by Lemire's
+// multiply-shift method, which avoids modulo bias: the high word of the
+// product x·n of a random word x, with x redrawn while the product's low
+// word falls below 2⁶⁴ mod n. That threshold costs a division, so it is
+// computed only in the rare case that the low word is below n. A power of
+// two n takes x's low bits instead (its threshold is 0, so x stands); the
+// two answers are selected without a branch, because the walk kernels
+// draw with vertex degrees that make such a branch unpredictable.
 func (r *RNG) boundedUint64(n uint64) uint64 {
-	// Fast path for powers of two.
-	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
-	}
-	for {
-		v := r.Uint64()
-		hi, lo := bits.Mul64(v, n)
-		if lo >= n || lo >= (-n)%n {
-			return hi
+	x := r.Uint64()
+	hi, lo := bits.Mul64(x, n)
+	if lo < n {
+		for t := -n % n; lo < t; {
+			x = r.Uint64()
+			hi, lo = bits.Mul64(x, n)
 		}
 	}
+	if n&(n-1) == 0 {
+		hi = x & (n - 1)
+	}
+	return hi
 }
 
 // NormFloat64 returns a standard normally distributed float64 using the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,83 @@ func TestBoundedStreamGolden(t *testing.T) {
 				t.Errorf("%s: stream digest %s, want %s", key, got, want[key])
 			}
 		}
+	}
+}
+
+// lemire is the textbook bounded draw that Intn must reproduce: Lemire's
+// multiply-shift rejection loop, with the power-of-two shortcut taken as a
+// branch before the first draw.
+func lemire(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= n || lo >= -n%n {
+			return hi
+		}
+	}
+}
+
+// invertMul returns the inverse of the odd c modulo 2⁶⁴ (Newton's method).
+func invertMul(c uint64) uint64 {
+	inv := c
+	for i := 0; i < 6; i++ {
+		inv *= 2 - c*inv
+	}
+	return inv
+}
+
+// streamStartingWith returns a generator whose next word is x: the
+// xoshiro256** output depends on the second state word alone.
+func streamStartingWith(t *testing.T, x, seed uint64) *RNG {
+	t.Helper()
+	r := New(seed)
+	r.s[1] = bits.RotateLeft64(x*invertMul(9), -7) * invertMul(5)
+	if probe := *r; probe.Uint64() != x {
+		t.Fatalf("crafted stream starts with %#x, want %#x", probe.Uint64(), x)
+	}
+	return r
+}
+
+// TestIntnMatchesLemire feeds Intn crafted first words for every n in
+// 1…4096: words whose low product word falls below n (where Intn computes
+// the rejection threshold, and Lemire's test may reject), the extremes,
+// and random words. Intn must return the textbook draw's value and leave
+// the stream where the textbook draw leaves it.
+func TestIntnMatchesLemire(t *testing.T) {
+	rng := New(5)
+	belowN, rejected := 0, 0
+	for n := uint64(1); n <= 4096; n++ {
+		words := []uint64{0, 1, n - 1, ^uint64(0), rng.Uint64(), rng.Uint64()}
+		for k := uint64(1); k <= 3 && k < n; k++ {
+			// ⌈k·2⁶⁴/n⌉: its product with n wraps to a low word below n.
+			q, r := bits.Div64(k, 0, n)
+			if r != 0 {
+				q++
+			}
+			words = append(words, q, q+1)
+		}
+		for _, x := range words {
+			if _, lo := bits.Mul64(x, n); lo < n {
+				belowN++
+				if lo < -n%n {
+					rejected++
+				}
+			}
+			ref := streamStartingWith(t, x, n)
+			got := *ref
+			want := lemire(ref, n)
+			if v := got.Intn(int(n)); uint64(v) != want {
+				t.Fatalf("n=%d word %#x: Intn drew %d, want %d", n, x, v, want)
+			}
+			if got.Uint64() != ref.Uint64() {
+				t.Fatalf("n=%d word %#x: Intn consumed a different number of words", n, x)
+			}
+		}
+	}
+	if belowN == 0 || rejected == 0 {
+		t.Fatalf("crafted words left a low word below n %d times and were rejected %d times; want both", belowN, rejected)
 	}
 }
 

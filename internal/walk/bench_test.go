@@ -1,6 +1,8 @@
 package walk
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"landmarkrd/internal/graph"
@@ -37,8 +39,12 @@ func benchSocial(b *testing.B, weighted bool) *graph.Graph {
 }
 
 // BenchmarkWalkStep reports the cost of one random-walk step (ns/op is
-// ns/step) on the social stand-in, unweighted and weighted. The walk
-// wanders the whole graph, so hubs are visited at their stationary rate.
+// ns/step) on the social stand-in, unweighted and weighted. The Step rows
+// take one step at a time, wandering the whole graph, so hubs are visited
+// at their stationary rate. The lanes rows run absorbed walks to the hub
+// through RunJobs, one job at a time (jobs=1) or four in lockstep
+// (jobs=4): each job walks from uniform starts until it has taken its
+// share of b.N steps.
 func BenchmarkWalkStep(b *testing.B) {
 	for _, weighted := range []bool{false, true} {
 		name := map[bool]string{false: "unweighted", true: "weighted"}[weighted]
@@ -55,5 +61,57 @@ func BenchmarkWalkStep(b *testing.B) {
 				u = s.Step(u, rng)
 			}
 		})
+	}
+	for _, weighted := range []bool{false, true} {
+		for _, jobs := range []int{1, Lanes} {
+			name := fmt.Sprintf("lanes/%s/jobs=%d", map[bool]string{false: "unweighted", true: "weighted"}[weighted], jobs)
+			b.Run(name, func(b *testing.B) {
+				g := benchSocial(b, weighted)
+				s := NewSampler(g)
+				hub := g.MaxDegreeVertex()
+				queue := make([]*stepJob, jobs)
+				for i := range queue {
+					queue[i] = &stepJob{n: g.N(), v: hub, budget: b.N / jobs, rng: randx.New(uint64(i + 1))}
+				}
+				b.ResetTimer()
+				if err := s.RunJobs(context.Background(), jobQueue(queue)); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				steps := 0
+				for _, j := range queue {
+					steps += j.steps
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(steps, 1)), "ns/step")
+			})
+		}
+	}
+}
+
+// stepJob walks from uniform starts to v until it has taken budget steps.
+type stepJob struct {
+	n, v          int
+	budget, steps int
+	rng           *randx.RNG
+}
+
+func (j *stepJob) Next() (Walk, bool) {
+	if j.steps >= j.budget {
+		return Walk{}, false
+	}
+	return Walk{Src: j.rng.Intn(j.n), V: j.v, A: -1, B: -1, MaxSteps: 1 << 30, RNG: j.rng}, true
+}
+
+func (j *stepJob) Done(_, _, steps int, _ bool) { j.steps += steps }
+
+// jobQueue hands out the jobs in order, then nil.
+func jobQueue[J Job](jobs []J) func() Job {
+	return func() Job {
+		if len(jobs) == 0 {
+			return nil
+		}
+		j := jobs[0]
+		jobs = jobs[1:]
+		return j
 	}
 }

@@ -1,7 +1,8 @@
 // Package walk provides the random-walk machinery the landmark framework
-// is built on: v-absorbed walk sampling (with visit counting), hitting-time
-// estimation, and Wilson's loop-erased-walk algorithm for sampling uniform
-// spanning trees.
+// is built on: v-absorbed walk sampling (with visit counting), run by
+// RunJobs up to four walks at a time in lockstep, hitting-time estimation,
+// and Wilson's loop-erased-walk algorithm for sampling uniform spanning
+// trees.
 package walk
 
 import (
@@ -73,12 +74,16 @@ func isolated(u int) {
 	panic(fmt.Sprintf("walk: step from isolated vertex %d", u))
 }
 
-// walkCheckEvery is the cancellation poll period in walk steps. One step
-// (RNG draw + neighbor pick) costs 15–20 ns, weighted or not: that is
-// BenchmarkWalkStep on the BA(5000, 4) social stand-in, on one core of a
-// 2-vCPU x86-64 VM with Go 1.24. Polling every 1024 steps therefore costs
-// well under 0.1% while bounding abort latency to about 20 µs even inside
-// one very long walk on a poorly conditioned graph.
+// walkCheckEvery is the cancellation poll period: in steps for
+// AbsorbedCounts (and so for a walk RunJobs runs alone), in rounds for
+// RunJobs, where a round advances each of up to Lanes walks in flight by
+// one step. A step (RNG draw + neighbor pick) costs 14–16 ns when one walk
+// runs alone and 9–10 ns when four run in lockstep, weighted or not: that
+// is BenchmarkWalkStep on the BA(5000, 4) social stand-in, on one core of a
+// 2-vCPU x86-64 VM with Go 1.24. A round of four steps thus costs about
+// 40 ns, and polling every 1024 rounds costs well under 0.1% while
+// bounding abort latency to about 15–40 µs even inside very long walks on
+// a poorly conditioned graph.
 const walkCheckEvery = 1024
 
 // AbsorbedCounts runs a single random walk from src until it hits the
@@ -92,6 +97,10 @@ const walkCheckEvery = 1024
 // cancel.Error once it is done, returning the counts so far. A context that
 // can never cancel (context.Background) is never polled, so the RNG stream
 // is the same with or without one.
+//
+// The estimators run their walks through RunJobs, which finishes a walk
+// left alone in its lanes here. AbsorbedCounts is also the primitive under
+// HittingTime and the sequential reference RunJobs is tested against.
 func (s *Sampler) AbsorbedCounts(ctx context.Context, src, v, a, b, maxSteps int, rng *randx.RNG) (na, nb, steps int, absorbed bool, err error) {
 	if src == v {
 		return 0, 0, 0, true, nil

@@ -174,3 +174,77 @@ func TestWalkConsumersUnweightedGoldens(t *testing.T) {
 		}
 	}
 }
+
+// weightedWalkGoldens freezes the same walk consumers on a weighted corpus
+// graph, where every step draws through the alias table: live replicas
+// serve weighted graphs after their first re-base.
+var weightedWalkGoldens = map[string]string{
+	"ba_120_2_weighted/abwalk":        "3fec71758e219654/58977 3ff2999999999999/46628 3fe504189374bc6a/51460",
+	"ba_120_2_weighted/bipush":        "3fecc0f81983d60d/14242 3ff29490b9af7201/13828 3fe56c737077399d/13513",
+	"ba_120_2_weighted/AdaptivePairs": "3fec3aef6ca97076/16039 3ff3040b8ebc6365/10971 3fe46e61a525c8ce/4776",
+	"ba_120_2_weighted/DiagMC":        "57b1c711fc730a3c",
+}
+
+func TestWalkConsumersWeightedGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep is not a -short test")
+	}
+	const name = "ba_120_2_weighted"
+	g, _, err := LoadEdgeList(corpusDir + "/" + name + ".edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Weighted() {
+		t.Fatalf("%s: graph must be weighted", name)
+	}
+	landmark := g.MaxDegreeVertex()
+	pairs := goldenPairs(g.N(), landmark)
+	got := map[string]string{}
+	for _, m := range []Method{AbWalk, BiPush} {
+		est, err := NewEstimatorAt(g, m, landmark, Options{Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []string
+		for _, q := range pairs {
+			res, err := est.Pair(q.S, q.T)
+			if err != nil {
+				t.Fatalf("%v%v: %v", m, q, err)
+			}
+			recs = append(recs, estimateRecord(res))
+		}
+		got[name+"/"+m.String()] = strings.Join(recs, " ")
+	}
+	engine, err := NewBatchEngine(g, AbWalk, BatchOptions{
+		Options: Options{Seed: 17}, Workers: 2, PinLandmark: true, Landmark: landmark,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := engine.AdaptivePairs(pairs, AdaptiveBatchOptions{TotalWalks: 1200, PilotWalks: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []string
+	for _, r := range ares {
+		if r.Err != nil {
+			t.Fatalf("AdaptivePairs%v: %v", r.PairQuery, r.Err)
+		}
+		recs = append(recs, estimateRecord(r.Estimate))
+	}
+	got[name+"/AdaptivePairs"] = strings.Join(recs, " ")
+	idx, err := BuildLandmarkIndexOpts(g, landmark, IndexBuildOptions{Mode: DiagMC, Seed: 17, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[name+"/DiagMC"] = columnsDigest(idx.Diag)
+
+	if len(got) != len(weightedWalkGoldens) {
+		t.Errorf("%d records, %d goldens", len(got), len(weightedWalkGoldens))
+	}
+	for key, rec := range got {
+		if want := weightedWalkGoldens[key]; rec != want {
+			t.Errorf("%s:\n  got  %q\n  want %q", key, rec, want)
+		}
+	}
+}
