@@ -22,12 +22,14 @@
 //   - BiPush  — push followed by an unbiased Monte Carlo residual
 //     correction; the best default.
 //
-// Exact values (for validation, or when n is small) come from Exact, which
-// solves the grounded Laplacian system by preconditioned conjugate
-// gradients. Single-source workloads use BuildLandmarkIndex + SingleSource.
+// Exact values come from Exact, which reads exact elimination labels on
+// low-treewidth graphs and otherwise solves the grounded Laplacian system
+// by conjugate gradients. Single-source workloads use BuildLandmarkIndex +
+// SingleSource.
 package landmarkrd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -126,14 +128,17 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	return graph.WattsStrogatz(n, k, beta, randx.New(seed))
 }
 
-// Exact computes r(s,t) to solver precision (~1e-10) by a grounded
-// conjugate-gradient solve. Cost is O(m·√κ)-ish per query; use it for
-// validation and ground truth.
+// Exact computes r(s,t) exactly, on one of two backends (DESIGN.md §10).
+// A graph within the fill budget (low treewidth: grids, road networks,
+// trees, cycles) is factored once, on first use, into elimination labels;
+// each answer then walks two elimination-tree paths in O(depth), exact to
+// rounding (~1e-14 relative). Any other graph gets a grounded
+// conjugate-gradient solve per answer, O(m·√κ) and exact to solver
+// precision (~1e-10). Either way Exact(g,s,t) and Exact(g,t,s) are
+// bit-identical, and a batch engine's exact answers are bit-identical to
+// Exact's.
 func Exact(g *Graph, s, t int) (float64, error) {
-	if err := requireGraph(g); err != nil {
-		return 0, err
-	}
-	return lap.ResistanceCG(g, s, t)
+	return ExactContext(context.Background(), g, s, t)
 }
 
 // CommuteTime returns the expected commute time Vol(G)·r(s,t).
@@ -173,10 +178,11 @@ const (
 	// BiPush is the bidirectional estimator (recommended default).
 	BiPush
 	// Auto lets a batch engine choose, once per engine, between routed
-	// BiPush and one exact grounded solve per pair, whichever a seeded work
-	// pilot models as cheaper on the engine's graph (see Plan). Only
-	// NewBatchEngine (and so Pairs and every LiveIndex epoch) resolves it;
-	// the single-estimator constructors reject it.
+	// BiPush and one exact answer per pair (as Exact gives it: elimination
+	// labels or a grounded solve), whichever a seeded work pilot models as
+	// cheaper on the engine's graph (see Plan). Only NewBatchEngine (and
+	// so Pairs and every LiveIndex epoch) resolves it; the
+	// single-estimator constructors reject it.
 	Auto
 )
 

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"landmarkrd/internal/cancel"
 	"landmarkrd/internal/core"
+	"landmarkrd/internal/elim"
 	"landmarkrd/internal/faultinject"
 	"landmarkrd/internal/guard"
 	"landmarkrd/internal/lap"
@@ -912,20 +914,27 @@ func (e *BatchEngine) exactBlocks(results []PairResult) []exactBlock {
 	return blocks
 }
 
-// resolveExact answers every result pending an exact solve with the exact
-// CG solver. Pairs that share a grounding vertex advance together through
-// one multi-RHS block solve (one operator sweep per iteration for the
-// whole block) instead of one independent solve each, and the blocks run
-// across the batch workers. Each answer is bit-for-bit what ExactContext
-// would have produced: the grounding vertex, right-hand side, tolerance,
-// and CG recurrence are identical per pair, whatever block or worker
-// solved it. The solves record into the engine's metrics. It returns a
-// non-nil error only for batch-fatal conditions (cancellation).
+// resolveExact answers every result pending an exact solve on the one
+// exact path, bit-for-bit as ExactContext would. When the graph has
+// elimination labels (built on first use, recorded in the engine's
+// metrics), each answer reads them in O(depth). Otherwise the exact CG
+// solver runs: pairs that share a grounding vertex advance together
+// through one multi-RHS block solve (one operator sweep per iteration for
+// the whole block) instead of one independent solve each, and the blocks
+// run across the batch workers. The grounding vertex, right-hand side,
+// tolerance, and CG recurrence are identical per pair, whatever block or
+// worker solved it. The solves record into the engine's metrics. It
+// returns a non-nil error only for batch-fatal conditions (cancellation).
 func (e *BatchEngine) resolveExact(ctx context.Context, results []PairResult) error {
-	blocks := e.exactBlocks(results)
-	if len(blocks) == 0 {
+	pending := slices.IndexFunc(results, func(r PairResult) bool { return e.pendingExact(r.Err) })
+	if pending < 0 {
 		return nil
 	}
+	lab, err := elim.For(e.g, e.metrics)
+	if err != nil || lab != nil {
+		return e.labelExact(ctx, lab, err, results[pending:])
+	}
+	blocks := e.exactBlocks(results)
 	workers := e.workers(len(blocks))
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -946,6 +955,29 @@ func (e *BatchEngine) resolveExact(ctx context.Context, results []PairResult) er
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// labelExact answers the results pending an exact solve from lab, or
+// fails each with buildErr, the error of a label build that did not
+// finish. An already-done ctx fails the batch, as a mid-solve abort does.
+func (e *BatchEngine) labelExact(ctx context.Context, lab *elim.Labels, buildErr error, results []PairResult) error {
+	if buildErr == nil {
+		if err := cancel.Check(ctx); err != nil {
+			return err
+		}
+	}
+	for i := range results {
+		r := &results[i]
+		if !e.pendingExact(r.Err) {
+			continue
+		}
+		v, err := 0.0, buildErr
+		if err == nil {
+			v, err = labelPair(lab, e.g, r.S, r.T, e.metrics)
+		}
+		e.finishExact(r, v, err)
 	}
 	return nil
 }

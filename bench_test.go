@@ -13,12 +13,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	landmarkrd "landmarkrd"
 	"landmarkrd/internal/baseline"
 	"landmarkrd/internal/core"
 	"landmarkrd/internal/dynamic"
+	"landmarkrd/internal/elim"
 	"landmarkrd/internal/eval"
 	"landmarkrd/internal/graph"
 	"landmarkrd/internal/lanczos"
@@ -117,6 +119,76 @@ func BenchmarkExactCGSocial(b *testing.B) {
 		if _, err := lap.ResistanceCG(g, s, t); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// labelBenchGraphs returns rdload's road stand-in, Grid(25,25,0.08) from
+// seed 2023 read back from its edge list as rdload's replicas read it,
+// which is within the elimination-label budget, and BA(n,4), which is
+// over it.
+func labelBenchGraphs(b *testing.B, baN int) (road, ba *landmarkrd.Graph) {
+	b.Helper()
+	g, err := landmarkrd.Grid(25, 25, 0.08, 2023)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "road.txt")
+	if err := g.SaveEdgeList(path); err != nil {
+		b.Fatal(err)
+	}
+	if road, _, err = landmarkrd.LoadEdgeList(path); err != nil {
+		b.Fatal(err)
+	}
+	if ba, err = landmarkrd.BarabasiAlbert(baN, 4, 2023); err != nil {
+		b.Fatal(err)
+	}
+	return road, ba
+}
+
+// BenchmarkExactPair times one Exact answer per op on each backend of the
+// exact path: label answers on the road stand-in (its labels are built
+// before the timer starts) and the grounded CG solve on BA(2000,4), which
+// is over the label budget, so the CG speed stays gated too.
+func BenchmarkExactPair(b *testing.B) {
+	road, ba := labelBenchGraphs(b, 2000)
+	for _, c := range []struct {
+		name string
+		g    *landmarkrd.Graph
+	}{{"road", road}, {"ba2000", ba}} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := landmarkrd.Exact(c.g, 0, 1); err != nil {
+				b.Fatal(err)
+			}
+			rng := randx.New(3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, t := pairOn(c.g, rng, -1)
+				if _, err := landmarkrd.Exact(c.g, s, t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLabelBuild times one elimination-label build per op: the full
+// build on the road stand-in, and the attempt on BA(5000,4) that its
+// symbolic pass ends at the fill budget.
+func BenchmarkLabelBuild(b *testing.B) {
+	road, ba := labelBenchGraphs(b, 5000)
+	for _, c := range []struct {
+		name   string
+		g      *landmarkrd.Graph
+		labels bool
+	}{{"road", road, true}, {"ba5000", ba, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := elim.Build(c.g) != nil; got != c.labels {
+					b.Fatalf("labels %v, want %v", got, c.labels)
+				}
+			}
+		})
 	}
 }
 

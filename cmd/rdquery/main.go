@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rdquery -graph g.txt -s 12 -t 99                  # exact (CG solve)
+//	rdquery -graph g.txt -s 12 -t 99                  # exact (labels or CG)
 //	rdquery -graph g.txt -s 12 -t 99 -method bipush   # landmark estimate
 //	rdquery -graph g.txt -source 12 -topk 10          # single-source
 //	rdquery -graph g.txt -source 12 -snapshot idx.snap  # reuse the index
@@ -17,6 +17,10 @@
 // single landmark column, which answers a source equal to its landmark by
 // copying the column. -snapshot reads and writes the v3 portfolio format;
 // a snapshot in the retired v2 single-landmark format still loads, as K=1.
+//
+// The exact answer is landmarkrd.Exact's: elimination labels when the
+// graph is within their fill budget (low treewidth: grids, road networks,
+// trees), a grounded CG solve otherwise.
 package main
 
 import (

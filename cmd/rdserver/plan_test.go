@@ -62,6 +62,20 @@ func TestAutoPlanServed(t *testing.T) {
 			if c.want == "exact" && math.Float64bits(pair.Value) != math.Float64bits(want) {
 				t.Errorf("exact-plan reply %v != Exact %v", pair.Value, want)
 			}
+			// The reversed pair gets the same bits, from the engine and
+			// from Exact.
+			var rev pairReply
+			getJSON(t, ts.URL+"/v1/pair?s=150&t=17", &rev)
+			wantRev, err := landmarkrd.Exact(c.g, 150, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(wantRev) != math.Float64bits(want) {
+				t.Errorf("Exact(150,17) = %v != Exact(17,150) = %v", wantRev, want)
+			}
+			if c.want == "exact" && math.Float64bits(rev.Value) != math.Float64bits(want) {
+				t.Errorf("exact-plan reply for (150,17) %v != Exact %v", rev.Value, want)
+			}
 
 			// Occupy 3 of 4 admission slots: with its own slot the next
 			// request hits the load-shedding threshold.

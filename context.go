@@ -2,9 +2,11 @@ package landmarkrd
 
 import (
 	"context"
+	"time"
 
 	"landmarkrd/internal/cancel"
 	"landmarkrd/internal/core"
+	"landmarkrd/internal/elim"
 	"landmarkrd/internal/lap"
 )
 
@@ -24,15 +26,59 @@ import (
 // every poll — their results stay byte-identical.
 var ErrCanceled = cancel.ErrCanceled
 
-// ExactContext is Exact with cancellation: the grounded CG solve aborts
-// within a few matvecs once ctx is done, returning an error matching
-// ErrCanceled and the context cause. The aborted solve is counted in
-// SolverStats().Canceled along with its partial iteration work.
+// ExactContext is Exact with cancellation. A label answer returns an
+// error matching ErrCanceled and the context cause when ctx is already
+// done (a label build that has started runs to completion: its cost is
+// bounded and its result is shared). The grounded CG solve aborts within
+// a few matvecs once ctx is done. Either abort is counted in
+// SolverStats().Canceled, the solve's with its partial iteration work.
 func ExactContext(ctx context.Context, g *Graph, s, t int) (float64, error) {
 	if err := requireGraph(g); err != nil {
 		return 0, err
 	}
-	return lap.ResistanceCGContext(ctx, g, s, t)
+	if err := validPair(g, s, t); err != nil || s == t {
+		return 0, err
+	}
+	// The one exact path (DESIGN.md §10): g's labels, built on first use,
+	// or else the grounded CG solve.
+	m := lap.SolverMetrics()
+	lab, err := elim.For(g, m)
+	if err != nil {
+		return 0, err
+	}
+	if lab == nil {
+		return lap.ResistanceCGContext(ctx, g, s, t)
+	}
+	if err := cancel.Check(ctx); err != nil {
+		m.Canceled.Inc()
+		return 0, err
+	}
+	return labelAnswer(lab, s, t, m), nil
+}
+
+// labelPair answers r(s,t) from g's labels lab for a batch engine,
+// recording the answer in m.
+func labelPair(lab *elim.Labels, g *Graph, s, t int, m *Metrics) (float64, error) {
+	if err := validPair(g, s, t); err != nil || s == t {
+		return 0, err
+	}
+	return labelAnswer(lab, s, t, m), nil
+}
+
+// labelAnswer reads r(s,t) off lab, for valid s ≠ t, and records it in m.
+func labelAnswer(lab *elim.Labels, s, t int, m *Metrics) float64 {
+	start := time.Now()
+	r := lab.Resistance(s, t)
+	m.ObserveLabelAnswer(time.Since(start))
+	return r
+}
+
+// validPair reports an out-of-range s or t.
+func validPair(g *Graph, s, t int) error {
+	if err := g.ValidateVertex(s); err != nil {
+		return err
+	}
+	return g.ValidateVertex(t)
 }
 
 // PairContext is Pair with cancellation: the estimator's iterative kernels

@@ -466,10 +466,12 @@ func TestIndexBuildFaults(t *testing.T) {
 	}
 }
 
-// TestCGIterFaults covers the cg.iter site through the exact solver.
+// TestCGIterFaults covers the cg.iter site through the exact solver, on
+// er_150: a graph over the elimination-label budget, whose exact answers
+// come from CG (TestLabelBuildFaults covers the label backend).
 func TestCGIterFaults(t *testing.T) {
 	defer faultinject.Reset()
-	g := loadCorpusGraph(t, "grid_14x14.edges")
+	g := loadCorpusGraph(t, "er_150.edges")
 
 	faultinject.Reset()
 	baseline, err := landmarkrd.Exact(g, 0, 100)
@@ -492,6 +494,77 @@ func TestCGIterFaults(t *testing.T) {
 	}
 	if math.Float64bits(got) != math.Float64bits(baseline) {
 		t.Errorf("latency fault changed Exact: %g vs %g", got, baseline)
+	}
+}
+
+// TestLabelBuildFaults covers the label.build site on grid_14x14, whose
+// exact answers come from elimination labels. Each case loads a fresh
+// copy, since a graph builds its labels at most once. An error fault
+// reaches the caller and is not remembered as "no labels"; a panic
+// becomes ErrInternal plus one Panics, from Exact and from an engine's
+// exact fallback; a latency-only fault changes no bit.
+func TestLabelBuildFaults(t *testing.T) {
+	defer faultinject.Reset()
+	queries := [][2]int{{0, 100}, {100, 0}, {5, 195}, {17, 18}}
+	baseline := make([]float64, len(queries))
+	g := loadCorpusGraph(t, "grid_14x14.edges")
+	for i, q := range queries {
+		v, err := landmarkrd.Exact(g, q[0], q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[i] = v
+	}
+
+	g = loadCorpusGraph(t, "grid_14x14.edges")
+	faultinject.Arm(faultinject.SiteLabelBuild, faultinject.Fault{})
+	if _, err := landmarkrd.Exact(g, 0, 100); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("error fault: err = %v, want ErrInjected", err)
+	}
+	faultinject.Reset()
+	before := landmarkrd.SolverStats()
+	if v, err := landmarkrd.Exact(g, 0, 100); err != nil || math.Float64bits(v) != math.Float64bits(baseline[0]) {
+		t.Errorf("after an error fault: Exact = %v, %v; want %v from a fresh build", v, err, baseline[0])
+	}
+	after := landmarkrd.SolverStats()
+	if after.LabelBuilds != before.LabelBuilds+1 || after.LabelAnswers != before.LabelAnswers+1 || after.CGSolves != before.CGSolves {
+		t.Errorf("after an error fault: LabelBuilds +%d, LabelAnswers +%d, CGSolves +%d; want +1, +1, +0",
+			after.LabelBuilds-before.LabelBuilds, after.LabelAnswers-before.LabelAnswers, after.CGSolves-before.CGSolves)
+	}
+
+	g = loadCorpusGraph(t, "grid_14x14.edges")
+	faultinject.Arm(faultinject.SiteLabelBuild, faultinject.Fault{Panic: "injected"})
+	before = landmarkrd.SolverStats()
+	if _, err := landmarkrd.Exact(g, 0, 100); !errors.Is(err, landmarkrd.ErrInternal) {
+		t.Errorf("panic fault: err = %v, want ErrInternal", err)
+	}
+	if got := landmarkrd.SolverStats().Panics - before.Panics; got != 1 {
+		t.Errorf("panic fault: Panics +%d, want +1", got)
+	}
+	engine := newFaultEngine(t, g, landmarkrd.BiPush, landmarkrd.BatchOptions{})
+	conflict := landmarkrd.PairQuery{S: engine.Landmark(), T: (engine.Landmark() + 7) % g.N()}
+	res, err := engine.Pairs([]landmarkrd.PairQuery{conflict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res[0].Err, landmarkrd.ErrInternal) || engine.Stats().Panics != 1 {
+		t.Errorf("panic fault in the engine: err = %v, Panics %d; want ErrInternal, 1", res[0].Err, engine.Stats().Panics)
+	}
+	faultinject.Reset()
+	if res, err = engine.Pairs([]landmarkrd.PairQuery{conflict}); err != nil || res[0].Err != nil {
+		t.Errorf("after a panic fault: %v / %v", err, res[0].Err)
+	}
+
+	g = loadCorpusGraph(t, "grid_14x14.edges")
+	faultinject.Arm(faultinject.SiteLabelBuild, faultinject.Fault{Latency: 10 * time.Microsecond, LatencyOnly: true})
+	for i, q := range queries {
+		v, err := landmarkrd.Exact(g, q[0], q[1])
+		if err != nil || math.Float64bits(v) != math.Float64bits(baseline[i]) {
+			t.Errorf("latency fault: Exact%v = %v, %v; want %v", q, v, err, baseline[i])
+		}
+	}
+	if got := faultinject.Hits(faultinject.SiteLabelBuild); got != 1 {
+		t.Errorf("label.build hit %d times, want once per graph", got)
 	}
 }
 

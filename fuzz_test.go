@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"landmarkrd/internal/lap"
 )
 
 // fuzzLimits bound each fuzz execution so the fuzzer measures coverage,
@@ -285,33 +287,64 @@ func FuzzPortfolioDifferential(f *testing.F) {
 	})
 }
 
-// FuzzExactPair hammers the exact CG path (the reference everything else
+// FuzzExactPair hammers the one exact path (the reference everything else
 // leans on) with arbitrary parsed graphs, including pathological weights.
+// Exact reads elimination labels on graphs within the fill budget and runs
+// CG otherwise; it is checked against lap.ResistanceCG at 1e-9 relative,
+// and each backend against its own reversed pair bit for bit. A
+// disconnected graph fails with ErrNotConnected on both, except r(s,s) = 0.
 func FuzzExactPair(f *testing.F) {
 	seedCorpus(f, func(data []byte) {
 		f.Add(data, uint16(0), uint16(1))
 	})
+	f.Add([]byte("0 1\n1 2\n1 3\n3 4\n3 5\n5 6\n"), uint16(0), uint16(6))              // tree
+	f.Add([]byte("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n"), uint16(1), uint16(4))              // cycle
+	f.Add([]byte("0 1 2.5\n"), uint16(1), uint16(0))                                   // n = 2
+	f.Add([]byte("0 1 0.25\n1 2 4\n2 3 1.5\n3 0 7\n0 2 0.01\n"), uint16(1), uint16(3)) // weighted
+	f.Add([]byte("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"), uint16(0), uint16(2))              // disconnected
+	f.Add([]byte("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"), uint16(4), uint16(4))              // disconnected, s = t
+	f.Add([]byte("0 1 1e6\n1 2 1e-6\n"), uint16(0), uint16(2))                         // weights 10¹² apart
+	f.Add([]byte("0 1 1e8\n1 2 8e-9\n"), uint16(0), uint16(2))                         // weights 10¹⁶ apart
 	f.Fuzz(func(t *testing.T, data []byte, sRaw, tRaw uint16) {
 		g, ok := fuzzGraph(data)
 		if !ok {
 			t.Skip()
 		}
 		s, u := int(sRaw)%g.N(), int(tRaw)%g.N()
+		cg, cgErr := lap.ResistanceCG(g, s, u)
 		r, err := Exact(g, s, u)
+		if s == u {
+			if err != nil || r != 0 || cgErr != nil || cg != 0 {
+				t.Fatalf("r(%d,%d): Exact %v (%v), CG %v (%v); want 0 from both", s, s, r, err, cg, cgErr)
+			}
+			return
+		}
+		if !g.IsConnected() {
+			if !errors.Is(err, ErrDisconnected) || !errors.Is(cgErr, ErrDisconnected) {
+				t.Fatalf("disconnected graph: Exact err %v, CG err %v; want ErrNotConnected from both", err, cgErr)
+			}
+			return
+		}
 		if err != nil {
-			return // typed rejection (disconnection, non-convergence) is fine
+			return // typed rejection (non-convergence) is fine
 		}
 		checkEstimate(t, "Exact", r)
-		if s == u && r != 0 {
-			t.Fatalf("Exact(%d,%d) = %v, want 0", s, u, r)
-		}
-		// Symmetry is free to check and a real invariant of the solve.
 		rev, err := Exact(g, u, s)
 		if err != nil {
 			t.Fatalf("Exact(%d,%d) succeeded but Exact(%d,%d) failed: %v", s, u, u, s, err)
 		}
-		if diff := math.Abs(r - rev); diff > 1e-7*math.Max(1, r) {
+		if math.Float64bits(r) != math.Float64bits(rev) {
 			t.Fatalf("asymmetric: r(%d,%d)=%v vs r(%d,%d)=%v", s, u, r, u, s, rev)
+		}
+		if cgErr != nil {
+			return // CG did not converge where the labels answered
+		}
+		if diff := math.Abs(r - cg); diff > 1e-9*r {
+			t.Fatalf("Exact(%d,%d) = %v, CG %v: relative difference %.3g", s, u, r, cg, diff/r)
+		}
+		cgRev, err := lap.ResistanceCG(g, u, s)
+		if err != nil || math.Float64bits(cg) != math.Float64bits(cgRev) {
+			t.Fatalf("asymmetric CG: r(%d,%d)=%v vs r(%d,%d)=%v (%v)", s, u, cg, u, s, cgRev, err)
 		}
 	})
 }

@@ -1,11 +1,11 @@
 // Package faultinject provides the registry-gated fault hooks the
 // fault-tolerance test suite drives. Hook points are compiled into the
 // iterative kernels (CG iterations, push queues, walk loops, the batch
-// engine, and the index build workers) at the same throttled cadence as
-// their cancellation polls, and are completely inert until a test arms a
-// fault: the fast path of At is a single atomic pointer load returning nil,
-// and the hot loops guard every Fire behind a nil check captured once per
-// solve/query.
+// engine, the index build workers, and the elimination-label build) at the
+// same throttled cadence as their cancellation polls, and are completely
+// inert until a test arms a fault: the fast path of At is a single atomic
+// pointer load returning nil, and the hot loops guard every Fire behind a
+// nil check captured once per solve/query.
 //
 // Three fault classes can be injected, alone or combined:
 //
@@ -52,6 +52,9 @@ const (
 	// Carlo landmark index build workers, and once per sketch row inside
 	// a DiagSketch build's row-solve workers.
 	SiteIndexBuild Site = "index.build"
+	// SiteLabelBuild fires once per elimination-label build of a graph,
+	// before the build starts.
+	SiteLabelBuild Site = "label.build"
 )
 
 // ErrInjected is the typed transient error injected faults surface as when

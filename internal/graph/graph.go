@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Graph is an immutable undirected graph in CSR form.
@@ -37,6 +38,10 @@ type Graph struct {
 	aliasOnce sync.Once // memoizes AliasTable (the graph is immutable)
 	aliasCut  []uint64  // per-slot acceptance thresholds, 2⁶⁴ fixed point
 	aliasTo   []int32   // per-slot alias, as an index local to the vertex
+
+	labelMu   sync.Mutex  // serializes the first LabelSlot build
+	labelDone atomic.Bool // set once labels holds a built value
+	labels    any         // package elim's labels, or nil for "no labels"
 }
 
 // Fingerprint returns a 64-bit FNV-1a hash over the graph's CSR arrays
@@ -276,6 +281,31 @@ func (g *Graph) buildAlias() {
 		}
 	}
 	g.aliasCut, g.aliasTo = cut, to
+}
+
+// LabelSlot returns the graph's exact elimination labels (package elim),
+// calling build to make them on first use. It is the alias table's
+// build-once slot with one difference: build runs at most once to
+// success. Its value, nil included (a graph with no labels), is kept for
+// the graph's lifetime, while an error or a panic leaves the slot empty,
+// so a later call builds again. Concurrent first callers wait for the one
+// build in progress.
+func (g *Graph) LabelSlot(build func() (any, error)) (any, error) {
+	if g.labelDone.Load() {
+		return g.labels, nil
+	}
+	g.labelMu.Lock()
+	defer g.labelMu.Unlock()
+	if g.labelDone.Load() {
+		return g.labels, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	g.labels = v
+	g.labelDone.Store(true)
+	return v, nil
 }
 
 // Stats summarizes basic structural statistics.

@@ -206,6 +206,8 @@ type Metrics struct {
 
 	CGSolves     Counter // grounded CG solves
 	CGIterations Counter // total CG iterations across solves
+	LabelBuilds  Counter // elimination-label builds run, over-budget attempts included
+	LabelAnswers Counter // exact pair answers read from elimination labels
 
 	QueryTime        Histogram // per-query wall time, nanoseconds
 	PushWork         Histogram // per-query push edge relaxations
@@ -272,6 +274,8 @@ func (m *Metrics) Merge(src *Metrics) {
 
 	m.CGSolves.Add(src.CGSolves.Load())
 	m.CGIterations.Add(src.CGIterations.Load())
+	m.LabelBuilds.Add(src.LabelBuilds.Load())
+	m.LabelAnswers.Add(src.LabelAnswers.Load())
 
 	m.QueryTime.Merge(&src.QueryTime)
 	m.PushWork.Merge(&src.PushWork)
@@ -332,6 +336,16 @@ func (m *Metrics) ObserveSolve(iterations int, d time.Duration) {
 	}
 	m.CGSolves.Inc()
 	m.CGIterations.Add(int64(iterations))
+	m.QueryTime.Observe(d.Nanoseconds())
+}
+
+// ObserveLabelAnswer records one exact pair answer read from elimination
+// labels. Safe on a nil receiver.
+func (m *Metrics) ObserveLabelAnswer(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.LabelAnswers.Inc()
 	m.QueryTime.Observe(d.Nanoseconds())
 }
 
@@ -406,6 +420,8 @@ type Snapshot struct {
 
 	CGSolves     int64 `json:"cg_solves"`
 	CGIterations int64 `json:"cg_iterations"`
+	LabelBuilds  int64 `json:"label_builds"`
+	LabelAnswers int64 `json:"label_answers"`
 
 	QueryTime        HistSnapshot `json:"query_time_ns"`
 	PushWork         HistSnapshot `json:"push_work"`
@@ -471,6 +487,8 @@ func (m *Metrics) Snapshot() Snapshot {
 
 		CGSolves:     m.CGSolves.Load(),
 		CGIterations: m.CGIterations.Load(),
+		LabelBuilds:  m.LabelBuilds.Load(),
+		LabelAnswers: m.LabelAnswers.Load(),
 
 		QueryTime:        m.QueryTime.Snapshot(),
 		PushWork:         m.PushWork.Snapshot(),

@@ -135,12 +135,14 @@ func TestSharedMetricsSink(t *testing.T) {
 }
 
 func TestSolverStatsRecordExactQueries(t *testing.T) {
-	g, err := landmarkrd.BarabasiAlbert(200, 3, 53)
+	// er_150 is far over the elimination-label budget, so its answer
+	// comes from CG.
+	g, _, err := landmarkrd.LoadEdgeList("testdata/corpus/er_150.edges")
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := landmarkrd.SolverStats()
-	if _, err := landmarkrd.Exact(g, 1, 150); err != nil {
+	if _, err := landmarkrd.Exact(g, 1, 149); err != nil {
 		t.Fatal(err)
 	}
 	after := landmarkrd.SolverStats()
@@ -149,6 +151,21 @@ func TestSolverStatsRecordExactQueries(t *testing.T) {
 	}
 	if after.CGIterations <= before.CGIterations {
 		t.Errorf("cg iterations did not grow: %d -> %d", before.CGIterations, after.CGIterations)
+	}
+
+	// A grid within the budget answers from labels instead.
+	grid, err := landmarkrd.Grid(10, 10, 0, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = landmarkrd.SolverStats()
+	if _, err := landmarkrd.Exact(grid, 1, 98); err != nil {
+		t.Fatal(err)
+	}
+	after = landmarkrd.SolverStats()
+	if after.LabelBuilds != before.LabelBuilds+1 || after.LabelAnswers != before.LabelAnswers+1 || after.CGSolves != before.CGSolves {
+		t.Errorf("grid: LabelBuilds +%d, LabelAnswers +%d, CGSolves +%d; want +1, +1, +0",
+			after.LabelBuilds-before.LabelBuilds, after.LabelAnswers-before.LabelAnswers, after.CGSolves-before.CGSolves)
 	}
 }
 

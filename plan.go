@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"landmarkrd/internal/core"
+	"landmarkrd/internal/elim"
 	"landmarkrd/internal/lap"
 	"landmarkrd/internal/randx"
 )
@@ -19,7 +20,8 @@ type Plan struct {
 	// Path names the path that answers pairs: the pinned method
 	// ("abwalk", "push", "bipush"), or under Auto either "bipush" (routed
 	// BiPush, landmark conflicts answered exactly) or "exact" (one exact
-	// grounded solve per pair, bit-identical to Exact).
+	// answer per pair, from elimination labels or a grounded solve,
+	// bit-identical to Exact).
 	Path string `json:"path"`
 	// PilotPairs is how many pairs the pilot drew (0 for a pinned method).
 	PilotPairs int `json:"pilot_pairs"`
@@ -48,9 +50,10 @@ const pathExact = "exact"
 // options: comparing modelled work rather than wall time keeps the plan a
 // pure function of graph, portfolio, options and seed.
 const (
-	planStepNS = 13.5 // one walk step: an alias draw plus two reads
-	planPushNS = 13.0 // one push edge relaxation
-	planCGNS   = 2.7  // one CG iteration, per entry of the n+2m sweep
+	planStepNS  = 13.5 // one walk step: an alias draw plus two reads
+	planPushNS  = 13.0 // one push edge relaxation
+	planCGNS    = 2.7  // one CG iteration, per entry of the n+2m sweep
+	planLabelNS = 2.1  // one elimination-label entry read by a label answer
 )
 
 const (
@@ -72,7 +75,9 @@ func (s pilotSide) msPerPair() float64 { return s.ns / float64(s.pairs) / 1e6 }
 // advance in lockstep, the one with less work so far going next, and a
 // path stops once its total passes the finished other path's total: the
 // pilot then costs about twice P answers of the cheaper path, never P
-// exact solves on a graph where walks are cheap.
+// exact solves on a graph where walks are cheap. The exact side prices
+// the backend the exact path will use, so the pilot first builds the
+// graph's elimination labels, or finds it over their budget.
 func (e *BatchEngine) planAuto() error {
 	rng := randx.New(e.seed ^ planSalt)
 	pairs := e.pilotPairs(rng)
@@ -91,6 +96,10 @@ func (e *BatchEngine) planAuto() error {
 		scale = float64(walks) / float64(walkOpts.Walks)
 	}
 	iterNS := float64(int64(e.g.N())+2*e.g.M()) * planCGNS
+	lab, err := elim.For(e.g, e.metrics) // the exact side's backend
+	if err != nil {
+		return err
+	}
 	ests := make([]*Estimator, len(e.idle))
 	var walk, exact pilotSide
 	p := len(pairs)
@@ -118,7 +127,14 @@ func (e *BatchEngine) planAuto() error {
 			walk.pairs++
 			continue
 		}
-		// The exact side: once the walk side is finished, cap the solve
+		// The exact side: a label answer costs the entries it reads.
+		if lab != nil {
+			q := pairs[exact.pairs]
+			exact.ns += float64(lab.Len(q[0])+lab.Len(q[1])) * planLabelNS
+			exact.pairs++
+			continue
+		}
+		// Without labels, once the walk side is finished, cap the solve
 		// one iteration past the walk total.
 		maxIter := 0
 		if walk.pairs == p {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"landmarkrd/internal/elim"
 )
 
 func loadCorpusGraph(t *testing.T, name string) *Graph {
@@ -67,6 +69,7 @@ func TestAutoPlan(t *testing.T) {
 		{"path_40", loadCorpusGraph(t, "path_40"), nil, "exact"},
 		{"cycle_48", loadCorpusGraph(t, "cycle_48"), nil, "exact"},
 		{"ba_120_2_weighted", loadCorpusGraph(t, "ba_120_2_weighted"), nil, ""},
+		{"er_150", loadCorpusGraph(t, "er_150"), nil, "exact"}, // over the label budget: CG
 		{"ba_5000_4", ba, nil, "bipush"},
 	}
 	for _, c := range cases {
@@ -92,6 +95,16 @@ func TestAutoPlan(t *testing.T) {
 				if p := mk(Auto, w).Plan(); p != plan {
 					t.Errorf("workers=%d plan %+v != %+v", w, p, plan)
 				}
+			}
+			// The pilot prices the exact path's backend: label entries
+			// read when the graph has labels (a few hundred ns a pair),
+			// CG iterations otherwise.
+			lab, err := elim.For(c.g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantMS := planLabelNS * float64(2*c.g.N()) / 1e6; lab != nil && plan.ExactMS > wantMS {
+				t.Errorf("plan %+v: exact side %v ms/pair on a graph with labels, want at most %v", plan, plan.ExactMS, wantMS)
 			}
 
 			queries := planQueries(c.g, eng.Landmark())
@@ -133,8 +146,15 @@ func TestAutoPlan(t *testing.T) {
 					t.Errorf("exact plan: PlannedExact %d (want %d), ExactFallbacks %d (want 0)",
 						stats.PlannedExact, len(queries), stats.ExactFallbacks)
 				}
-				if stats.CGSolves < int64(len(queries)-1) {
-					t.Errorf("exact plan: CGSolves %d, want a solve per distinct-endpoint pair", stats.CGSolves)
+				// One exact answer per distinct-endpoint pair, from
+				// labels when the graph has them and by CG otherwise.
+				if lab != nil && (stats.LabelAnswers < int64(len(queries)-1) || stats.CGSolves != 0) {
+					t.Errorf("exact plan on labels: LabelAnswers %d, CGSolves %d; want one answer per distinct-endpoint pair, no solve",
+						stats.LabelAnswers, stats.CGSolves)
+				}
+				if lab == nil && (stats.CGSolves < int64(len(queries)-1) || stats.LabelAnswers != 0) {
+					t.Errorf("exact plan on CG: CGSolves %d, LabelAnswers %d; want a solve per distinct-endpoint pair, no label answer",
+						stats.CGSolves, stats.LabelAnswers)
 				}
 			} else if stats.PlannedExact != 0 {
 				t.Errorf("bipush plan: PlannedExact %d, want 0", stats.PlannedExact)
@@ -143,23 +163,36 @@ func TestAutoPlan(t *testing.T) {
 	}
 }
 
-// TestEngineExactSolvesRecordIntoEngine: the grouped exact solve behind a
-// landmark-conflict fallback records its CG work in the engine's own
-// metrics, not only in the process-wide solver sink.
+// TestEngineExactSolvesRecordIntoEngine: the exact answer behind a
+// landmark-conflict fallback records its work in the engine's own
+// metrics, not only in the process-wide solver sink: the label build and
+// the label answer on grid_14x14, and the over-budget attempt and the CG
+// solve on er_150.
 func TestEngineExactSolvesRecordIntoEngine(t *testing.T) {
-	g := loadCorpusGraph(t, "grid_14x14")
-	eng, err := NewBatchEngine(g, BiPush, BatchOptions{Options: Options{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Pairs([]PairQuery{{S: eng.Landmark(), T: (eng.Landmark() + 7) % g.N()}})
-	if err != nil || res[0].Err != nil {
-		t.Fatalf("conflict pair: %v / %v", err, res[0].Err)
-	}
-	stats := eng.Stats()
-	if stats.ExactFallbacks != 1 || stats.CGSolves < 1 || stats.CGIterations < 1 {
-		t.Errorf("ExactFallbacks %d, CGSolves %d, CGIterations %d: want 1, ≥1, ≥1",
-			stats.ExactFallbacks, stats.CGSolves, stats.CGIterations)
+	for _, c := range []struct {
+		name   string
+		labels bool
+	}{{"grid_14x14", true}, {"er_150", false}} {
+		g := loadCorpusGraph(t, c.name)
+		eng, err := NewBatchEngine(g, BiPush, BatchOptions{Options: Options{Seed: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Pairs([]PairQuery{{S: eng.Landmark(), T: (eng.Landmark() + 7) % g.N()}})
+		if err != nil || res[0].Err != nil {
+			t.Fatalf("%s: conflict pair: %v / %v", c.name, err, res[0].Err)
+		}
+		stats := eng.Stats()
+		if stats.ExactFallbacks != 1 || stats.LabelBuilds != 1 {
+			t.Errorf("%s: ExactFallbacks %d, LabelBuilds %d: want 1, 1", c.name, stats.ExactFallbacks, stats.LabelBuilds)
+		}
+		if c.labels && (stats.LabelAnswers != 1 || stats.CGSolves != 0) {
+			t.Errorf("%s: LabelAnswers %d, CGSolves %d: want 1, 0", c.name, stats.LabelAnswers, stats.CGSolves)
+		}
+		if !c.labels && (stats.LabelAnswers != 0 || stats.CGSolves < 1 || stats.CGIterations < 1) {
+			t.Errorf("%s: LabelAnswers %d, CGSolves %d, CGIterations %d: want 0, ≥1, ≥1",
+				c.name, stats.LabelAnswers, stats.CGSolves, stats.CGIterations)
+		}
 	}
 }
 
