@@ -231,9 +231,8 @@ type Estimate = core.Estimate
 
 // Options configures NewEstimator. The zero value is usable.
 type Options struct {
-	// Landmark fixes the landmark vertex; -1 or unset (0 with
-	// LandmarkStrategySet false) selects via Strategy. Use the
-	// NewEstimatorAt constructor to pin an explicit landmark.
+	// Strategy selects NewEstimator's landmark (MaxDegree by default).
+	// NewEstimatorAt takes an explicit landmark instead.
 	Strategy Strategy
 	// Seed drives all randomness (default 1).
 	Seed uint64
@@ -261,15 +260,7 @@ type Estimator struct {
 // NewEstimator builds an estimator, selecting the landmark with
 // opts.Strategy (MaxDegree by default).
 func NewEstimator(g *Graph, m Method, opts Options) (*Estimator, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := randx.New(seed)
-	v, err := core.SelectLandmark(g, opts.Strategy, rng)
+	v, err := SelectLandmark(g, opts.Strategy, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -412,12 +403,14 @@ func SolverMetrics() *Metrics { return lap.SolverMetrics() }
 // CGIterations, per-solve latency under QueryTime).
 func SolverStats() Stats { return lap.SolverStats() }
 
-// SelectLandmark picks a landmark vertex by strategy.
+// SelectLandmark picks a landmark vertex by strategy. Seed 0 means 1, as
+// in NewEstimator and NewBatchEngine, so it names the landmark they select
+// with the same Strategy and Seed.
 func SelectLandmark(g *Graph, s Strategy, seed uint64) (int, error) {
 	if err := requireGraph(g); err != nil {
 		return 0, err
 	}
-	return core.SelectLandmark(g, s, randx.New(seed))
+	return core.SelectLandmark(g, s, randx.New(max(seed, 1)))
 }
 
 // LandmarkIndex is one landmark column r(·, v) plus its query solver: the
@@ -541,33 +534,6 @@ func BuildSketch(g *Graph, epsilon float64, seed uint64) (*Sketch, error) {
 		return nil, err
 	}
 	return sketch.Build(g, sketch.Options{Epsilon: epsilon}, randx.New(seed))
-}
-
-// MultiLandmarkEstimator combines BiPush estimates over several landmarks
-// (median), improving robustness to badly placed landmarks and serving
-// queries that touch one of them.
-type MultiLandmarkEstimator = core.MultiLandmarkEstimator
-
-// NewMultiLandmark builds a multi-landmark BiPush estimator with the given
-// number of landmarks (0 = default 3).
-func NewMultiLandmark(g *Graph, landmarks int, opts Options) (*MultiLandmarkEstimator, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return core.NewMultiLandmarkEstimator(g, core.MultiLandmarkOptions{
-		Landmarks: landmarks,
-		Strategy:  opts.Strategy,
-		PerLandmark: core.BiPushOptions{
-			PushTheta: opts.Theta,
-			Walks:     opts.Walks,
-			MaxSteps:  opts.MaxSteps,
-			MaxOps:    opts.MaxOps,
-		},
-	}, randx.New(seed))
 }
 
 // PairWithinEps answers a Push query whose deterministic error is at most

@@ -236,28 +236,6 @@ func TestElectricFlowAPI(t *testing.T) {
 	}
 }
 
-func TestMultiLandmarkAPI(t *testing.T) {
-	g, _ := landmarkrd.BarabasiAlbert(300, 4, 22)
-	m, err := landmarkrd.NewMultiLandmark(g, 3, landmarkrd.Options{Seed: 5, Walks: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, u := 9, 200
-	for _, v := range m.Landmarks() {
-		if v == s || v == u {
-			s, u = 10, 201
-		}
-	}
-	want, _ := landmarkrd.Exact(g, s, u)
-	res, err := m.Pair(s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-want) > 0.05*math.Max(want, 0.2) {
-		t.Errorf("multi-landmark = %v, want %v", res.Value, want)
-	}
-}
-
 func TestLapSolverAPI(t *testing.T) {
 	g, _ := landmarkrd.Grid(20, 20, 0, 31)
 	solver, err := landmarkrd.NewLapSolver(g, 1)

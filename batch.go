@@ -219,7 +219,7 @@ func NewBatchEngine(g *Graph, m Method, opts BatchOptions) (*BatchEngine, error)
 			return nil, fmt.Errorf("landmarkrd: batch landmark: %w", err)
 		}
 	default:
-		v, err := core.SelectLandmark(g, opts.Options.Strategy, randx.New(seed))
+		v, err := SelectLandmark(g, opts.Options.Strategy, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -7,16 +7,22 @@
 //	rdquery -graph g.txt -s 12 -t 99 -method bipush   # landmark estimate
 //	rdquery -graph g.txt -source 12 -topk 10          # single-source
 //	rdquery -graph g.txt -source 12 -snapshot idx.snap  # reuse the index
+//	rdquery -graph g.txt -s 12 -t 99 -method auto     # planned, as rdserver plans
 //	rdquery -graph g.txt -s 12 -t 99 -method push -portfolio 4  # routed portfolio
 //	rdquery -graph g.txt -source 12 -portfolio 4      # routed single-source
 //
-// With -portfolio K the query goes through a K-landmark portfolio: the
-// landmark with the smallest cost-law score r(s,ℓ)+r(t,ℓ) answers, falling
-// back across the members if it collides with an endpoint. Single-source
-// mode always reads a sketch-mode portfolio, and -portfolio 0 means K=1: a
-// single landmark column, which answers a source equal to its landmark by
-// copying the column. -snapshot reads and writes the v3 portfolio format;
-// a snapshot in the retired v2 single-landmark format still loads, as K=1.
+// A pair estimate is a one-query batch of a landmarkrd.BatchEngine, the
+// engine rdserver serves /v1/pair from, so for the same method, seed and
+// index it prints the value rdserver serves. At -portfolio 0 the engine
+// selects one landmark; with -portfolio K it routes through a K-landmark
+// portfolio: the landmark with the smallest cost-law score r(s,ℓ)+r(t,ℓ)
+// answers, falling back across the members if it collides with an
+// endpoint. A pair every landmark collides with is answered exactly.
+// Single-source mode always reads a sketch-mode portfolio, and -portfolio 0
+// means K=1: a single landmark column, which answers a source equal to its
+// landmark by copying the column. -snapshot reads and writes the v3
+// portfolio format; a snapshot in the retired v2 single-landmark format
+// still loads, as K=1.
 //
 // The exact answer is landmarkrd.Exact's: elimination labels when the
 // graph is within their fill budget (low treewidth: grids, road networks,
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,7 +65,7 @@ func main() {
 	flag.StringVar(&cfg.graphPath, "graph", "", "edge-list file (required)")
 	flag.IntVar(&cfg.s, "s", -1, "source vertex (dense id)")
 	flag.IntVar(&cfg.t, "t", -1, "sink vertex (dense id)")
-	flag.StringVar(&cfg.method, "method", "exact", "exact|abwalk|push|bipush (auto needs a batch engine; rdserver -method auto plans it)")
+	flag.StringVar(&cfg.method, "method", "exact", "exact|abwalk|push|bipush|auto (auto answers by the cheaper of routed bipush and one exact answer, as rdserver -method auto does)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	flag.IntVar(&cfg.walks, "walks", 0, "Monte Carlo walks (abwalk/bipush)")
 	flag.Float64Var(&cfg.theta, "theta", 0, "push residual threshold")
@@ -119,6 +126,8 @@ func run(cfg config, out io.Writer) error {
 	return nil
 }
 
+// runPair answers (s,t) with landmarkrd.Exact for -method exact, and
+// otherwise as a one-query batch (see the package doc).
 func runPair(g *landmarkrd.Graph, cfg config, out io.Writer) (float64, error) {
 	if cfg.method == "exact" {
 		return landmarkrd.Exact(g, cfg.s, cfg.t)
@@ -127,76 +136,50 @@ func runPair(g *landmarkrd.Graph, cfg config, out io.Writer) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	metrics := &landmarkrd.Metrics{}
+	opts := landmarkrd.BatchOptions{
+		Options: landmarkrd.Options{Seed: cfg.seed, Walks: cfg.walks, Theta: cfg.theta},
+		Metrics: metrics,
+	}
 	if cfg.portfolio > 0 {
-		return runPortfolioPair(g, m, cfg, out)
-	}
-	est, err := landmarkrd.NewEstimator(g, m, landmarkrd.Options{
-		Seed: cfg.seed, Walks: cfg.walks, Theta: cfg.theta,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := est.Pair(cfg.s, cfg.t)
-	if errors.Is(err, landmarkrd.ErrLandmarkConflict) {
-		// A query endpoint is the landmark: fall back to exact.
-		v, exErr := landmarkrd.Exact(g, cfg.s, cfg.t)
-		if exErr != nil {
-			return 0, exErr
+		p, build, err := portfolioIndex(g, cfg, out)
+		if err != nil {
+			return 0, err
 		}
-		fmt.Fprintln(out, "(endpoint equals the landmark; answered exactly)")
-		return v, nil
+		fmt.Fprintf(out, "portfolio k=%d landmarks=%v build=%s\n",
+			p.K(), p.Landmarks, build.Round(time.Millisecond))
+		opts.Portfolio = p
 	}
+	eng, err := landmarkrd.NewBatchEngine(g, m, opts)
 	if err != nil {
 		return 0, err
 	}
-	fmt.Fprintf(out, "landmark=%d walks=%d pushOps=%d converged=%v\n",
-		est.Landmark(), res.Walks, res.PushOps, res.Converged)
-	landmarkrd.PublishMetrics("landmarkrd.estimator", est.Metrics())
+	res, err := eng.Pairs([]landmarkrd.PairQuery{{S: cfg.s, T: cfg.t}})
+	if err != nil {
+		return 0, err
+	}
+	if res[0].Err != nil {
+		return 0, res[0].Err
+	}
+	fmt.Fprintf(out, "plan: %v\n", eng.Plan())
+	st := eng.Stats()
+	switch {
+	case st.ExactFallbacks > 0:
+		fmt.Fprintln(out, "(every landmark is an endpoint; answered exactly)")
+	case st.PlannedExact == 0: // a walk or push answer: name its landmark
+		landmark := eng.Landmark()
+		if p := eng.Portfolio(); p != nil {
+			landmark = p.Landmarks[slices.IndexFunc(p.Stats().Routed, func(c int64) bool { return c > 0 })]
+		}
+		est := res[0].Estimate
+		fmt.Fprintf(out, "landmark=%d walks=%d pushOps=%d converged=%v router_fallbacks=%d\n",
+			landmark, est.Walks, est.PushOps, est.Converged, st.RouterFallbacks)
+	}
+	landmarkrd.PublishMetrics("landmarkrd.estimator", metrics)
 	if cfg.stats {
-		fmt.Fprintf(out, "estimator stats:\n%s\n", est.Stats())
+		fmt.Fprintf(out, "estimator stats:\n%s\n", st)
 	}
-	return res.Value, nil
-}
-
-// runPortfolioPair answers a pair estimate through a K-landmark portfolio.
-func runPortfolioPair(g *landmarkrd.Graph, m landmarkrd.Method, cfg config, out io.Writer) (float64, error) {
-	p, build, err := portfolioIndex(g, cfg, out)
-	if err != nil {
-		return 0, err
-	}
-	pe, err := landmarkrd.NewPortfolioEstimator(p, m, landmarkrd.Options{
-		Seed: cfg.seed, Walks: cfg.walks, Theta: cfg.theta,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := pe.Pair(cfg.s, cfg.t)
-	if errors.Is(err, landmarkrd.ErrLandmarkConflict) {
-		// Every portfolio member collides with an endpoint: fall back to exact.
-		v, exErr := landmarkrd.Exact(g, cfg.s, cfg.t)
-		if exErr != nil {
-			return 0, exErr
-		}
-		fmt.Fprintln(out, "(every landmark conflicts; answered exactly)")
-		return v, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	stats := p.Stats()
-	routed := -1
-	for j, c := range stats.Routed {
-		if c > 0 {
-			routed = p.Landmarks[j]
-		}
-	}
-	fmt.Fprintf(out, "portfolio k=%d landmarks=%v build=%s routed=%d fallbacks=%d\n",
-		p.K(), p.Landmarks, build.Round(time.Millisecond), routed, stats.Fallbacks)
-	landmarkrd.PublishMetrics("landmarkrd.estimator", pe.Metrics())
-	if cfg.stats {
-		fmt.Fprintf(out, "estimator stats:\n%s\n", pe.Stats())
-	}
-	return res.Value, nil
+	return res[0].Estimate.Value, nil
 }
 
 // runSingleSource answers single-source through the portfolio's cheapest

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	landmarkrd "landmarkrd"
 	"landmarkrd/internal/graph"
 	"landmarkrd/internal/randx"
 )
@@ -37,16 +40,70 @@ func TestRunExactQuery(t *testing.T) {
 	}
 }
 
+// TestRunEstimatorMethods: every method prints the answer of a one-query
+// landmarkrd.Pairs batch with the same method and seed.
 func TestRunEstimatorMethods(t *testing.T) {
 	path := writeTestGraph(t)
-	for _, m := range []string{"abwalk", "push", "bipush"} {
+	g, _, err := landmarkrd.LoadEdgeList(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"abwalk", "push", "bipush", "auto"} {
 		var out bytes.Buffer
 		err := run(config{graphPath: path, s: 3, t: 250, method: m, seed: 1, topk: 5, source: -1}, &out)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if !strings.Contains(out.String(), "r(3,250)") {
-			t.Errorf("%s: output missing result: %s", m, out.String())
+		method, err := landmarkrd.ParseMethod(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := landmarkrd.Pairs(g, method, []landmarkrd.PairQuery{{S: 3, T: 250}},
+			landmarkrd.BatchOptions{Options: landmarkrd.Options{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("r(3,250) = %.8f", res[0].Estimate.Value); !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output missing %q:\n%s", m, want, out.String())
+		}
+	}
+}
+
+// TestRunPairLandmarkEndpoint: a pair whose endpoint is every landmark the
+// engine has — the index-free landmark, or a K=1 portfolio's — is answered
+// exactly, bit for bit as landmarkrd.Exact, and says so.
+func TestRunPairLandmarkEndpoint(t *testing.T) {
+	path := writeTestGraph(t)
+	g, _, err := landmarkrd.LoadEdgeList(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landmark, err := landmarkrd.SelectLandmark(g, landmarkrd.MaxDegree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := landmarkrd.Exact(g, landmark, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []config{
+		{method: "bipush"},
+		{method: "push", portfolio: 1},
+	} {
+		cfg.s, cfg.t, cfg.seed = landmark, 250, 1
+		var out bytes.Buffer
+		got, err := runPair(g, cfg, &out)
+		if err != nil {
+			t.Fatalf("%s -portfolio %d: %v", cfg.method, cfg.portfolio, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s -portfolio %d: r(%d,250) = %v, want Exact's %v", cfg.method, cfg.portfolio, landmark, got, want)
+		}
+		if !strings.Contains(out.String(), "answered exactly") {
+			t.Errorf("%s -portfolio %d: no answered-exactly note:\n%s", cfg.method, cfg.portfolio, out.String())
+		}
+		if cfg.portfolio > 0 && !strings.Contains(out.String(), fmt.Sprintf("landmarks=[%d]", landmark)) {
+			t.Errorf("the K=1 portfolio's landmark is not %d:\n%s", landmark, out.String())
 		}
 	}
 }

@@ -383,6 +383,7 @@ func TestConformanceMonteCarlo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical conformance is not a -short test")
 	}
+	portfolios := map[string]*PortfolioIndex{}
 	methods := []mcMethod{
 		{
 			name: "AbWalk",
@@ -407,14 +408,24 @@ func TestConformanceMonteCarlo(t *testing.T) {
 			},
 		},
 		{
-			name: "MultiLandmark",
+			// The serving path: a one-query batch routed through a K=3
+			// sketch portfolio, built once per corpus graph.
+			name: "Routed",
 			sample: func(c conformanceCase, s, u int, seed uint64) (float64, error) {
-				est, err := NewMultiLandmark(c.G, 3, Options{Seed: seed})
+				pf := portfolios[c.Name]
+				if pf == nil {
+					var err error
+					pf, err = BuildPortfolioIndex(c.G, PortfolioBuildOptions{K: 3, Mode: DiagSketch, Seed: 7})
+					if err != nil {
+						return 0, err
+					}
+					portfolios[c.Name] = pf
+				}
+				res, err := Pairs(c.G, BiPush, []PairQuery{{s, u}}, BatchOptions{Portfolio: pf, Options: Options{Seed: seed}})
 				if err != nil {
 					return 0, err
 				}
-				res, err := est.Pair(s, u)
-				return res.Value, err
+				return res[0].Estimate.Value, res[0].Err
 			},
 		},
 		{

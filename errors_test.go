@@ -54,7 +54,7 @@ func TestNilGraphRejected(t *testing.T) {
 		{"BuildLandmarkIndex", func() error { _, err := BuildLandmarkIndex(nil, 0, DiagExactCG, 1); return err }},
 		{"NewLapSolver", func() error { _, err := NewLapSolver(nil, 1); return err }},
 		{"BuildSketch", func() error { _, err := BuildSketch(nil, 0.3, 1); return err }},
-		{"NewMultiLandmark", func() error { _, err := NewMultiLandmark(nil, 3, Options{}); return err }},
+		{"BuildPortfolioIndex", func() error { _, err := BuildPortfolioIndex(nil, PortfolioBuildOptions{}); return err }},
 		{"ClusterGraph", func() error { _, err := ClusterGraph(nil, 2, 1); return err }},
 		{"NewDynamic", func() error { _, err := NewDynamic(nil); return err }},
 		{"NewBatchEngine", func() error { _, err := NewBatchEngine(nil, BiPush, BatchOptions{}); return err }},
@@ -91,7 +91,8 @@ func TestDisconnectedGraphRejected(t *testing.T) {
 		{"NewEstimatorBiPush", func() error { _, err := NewEstimatorAt(g, BiPush, 0, Options{}); return err }},
 		{"BuildLandmarkIndex", func() error { _, err := BuildLandmarkIndex(g, 0, DiagExactCG, 1); return err }},
 		{"BuildSketch", func() error { _, err := BuildSketch(g, 0.3, 1); return err }},
-		{"NewMultiLandmark", func() error { _, err := NewMultiLandmark(g, 2, Options{}); return err }},
+		{"BuildPortfolioIndex", func() error { _, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 2}); return err }},
+		{"Pairs", func() error { _, err := Pairs(g, BiPush, []PairQuery{{0, 1}}, BatchOptions{}); return err }},
 		{"ClusterGraph", func() error { _, err := ClusterGraph(g, 2, 1); return err }},
 		{"NewDynamic", func() error { _, err := NewDynamic(g); return err }},
 	}

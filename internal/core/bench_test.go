@@ -83,25 +83,3 @@ func BenchmarkLandmarkSelection(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkMultiLandmarkPair(b *testing.B) {
-	g := benchBA(b)
-	m, err := NewMultiLandmarkEstimator(g, MultiLandmarkOptions{
-		Landmarks:   3,
-		PerLandmark: BiPushOptions{PushTheta: 1e-2, Walks: 128},
-	}, randx.New(6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := randx.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, t := rng.Intn(g.N()), rng.Intn(g.N())
-		if s == t {
-			continue
-		}
-		if _, err := m.Pair(s, t); err != nil && err != ErrLandmarkConflict {
-			b.Fatal(err)
-		}
-	}
-}

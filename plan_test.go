@@ -210,14 +210,9 @@ func TestParseMethod(t *testing.T) {
 		t.Error(`ParseMethod("exact") accepted`)
 	}
 	g := loadCorpusGraph(t, "grid_14x14")
-	pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 2, Mode: DiagSketch})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, e1 := NewEstimator(g, Auto, Options{})
 	_, e2 := NewEstimatorAt(g, Auto, 0, Options{})
-	_, e3 := NewPortfolioEstimator(pf, Auto, Options{})
-	for i, err := range []error{e1, e2, e3} {
+	for i, err := range []error{e1, e2} {
 		if err == nil || !strings.Contains(err.Error(), "NewBatchEngine") || !strings.Contains(err.Error(), "NewLiveIndex") {
 			t.Errorf("constructor %d: err %v, want one naming NewBatchEngine and NewLiveIndex", i, err)
 		}

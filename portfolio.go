@@ -2,7 +2,6 @@ package landmarkrd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -60,8 +59,8 @@ type PortfolioBuildOptions struct {
 
 // BuildPortfolioIndex selects K landmarks by the cost-law score and builds
 // one diagonal column per landmark. See PortfolioIndex for the routing
-// model and SingleSource/NewPortfolioEstimator/BatchOptions.Portfolio for
-// the query paths.
+// model, and PortfolioSingleSource and BatchOptions.Portfolio for the
+// query paths.
 func BuildPortfolioIndex(g *Graph, opts PortfolioBuildOptions) (*PortfolioIndex, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err
@@ -122,12 +121,14 @@ func ParseLandmarkList(s string) ([]int, error) {
 
 // SelectPortfolioLandmarks picks k landmarks by the portfolio cost-law
 // score without building columns — the primary by strategy, the rest by
-// score × hop-distance spread.
+// score × hop-distance spread. Seed 0 means 1, as in BuildPortfolioIndex,
+// so it names the landmarks a build with the same K, Strategy and Seed
+// selects.
 func SelectPortfolioLandmarks(g *Graph, k int, s Strategy, seed uint64) ([]int, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err
 	}
-	return core.SelectPortfolioLandmarks(g, k, s, randx.New(seed))
+	return core.SelectPortfolioLandmarks(g, k, s, randx.New(max(seed, 1)))
 }
 
 // PortfolioSingleSource computes r(s,·) through the portfolio's cheapest
@@ -139,126 +140,4 @@ func PortfolioSingleSource(p *PortfolioIndex, s int) ([]float64, int, error) {
 // PortfolioSingleSourceContext is PortfolioSingleSource with cancellation.
 func PortfolioSingleSourceContext(ctx context.Context, p *PortfolioIndex, s int) ([]float64, int, error) {
 	return p.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
-}
-
-// PortfolioEstimator answers pair queries through a portfolio: each query
-// routes to the landmark with the smallest cost-law score for (s,t) and
-// falls back across the remaining landmarks, in cost order, when the
-// routed landmark collides with an endpoint (ErrLandmarkConflict). Any
-// Method works per landmark. Like Estimator it is not safe for concurrent
-// use; the batch engine pools them per worker.
-type PortfolioEstimator struct {
-	p       *PortfolioIndex
-	method  Method
-	ests    []*Estimator
-	metrics *Metrics
-}
-
-// NewPortfolioEstimator builds one per-landmark estimator per portfolio
-// member, all recording into a single shared metrics sink. Each landmark's
-// estimator gets its own random stream derived from opts.Seed, so results
-// do not depend on which other landmarks exist in the portfolio.
-func NewPortfolioEstimator(p *PortfolioIndex, m Method, opts Options) (*PortfolioEstimator, error) {
-	if p == nil {
-		return nil, errors.New("landmarkrd: nil portfolio")
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	e := &PortfolioEstimator{p: p, method: m, metrics: &Metrics{}}
-	for j, v := range p.Landmarks {
-		lopts := opts
-		lopts.Seed = seed + uint64(j)*0x9e3779b97f4a7c15
-		if lopts.Seed == 0 {
-			lopts.Seed = 1
-		}
-		est, err := NewEstimatorAt(p.G, m, v, lopts)
-		if err != nil {
-			return nil, err
-		}
-		est.SetMetrics(e.metrics)
-		e.ests = append(e.ests, est)
-	}
-	return e, nil
-}
-
-// Method returns the per-landmark algorithm in use.
-func (e *PortfolioEstimator) Method() Method { return e.method }
-
-// Portfolio returns the underlying portfolio index.
-func (e *PortfolioEstimator) Portfolio() *PortfolioIndex { return e.p }
-
-// Landmarks returns the portfolio landmark vertices.
-func (e *PortfolioEstimator) Landmarks() []int { return e.p.Landmarks }
-
-// Metrics returns the shared metrics sink (always non-nil).
-func (e *PortfolioEstimator) Metrics() *Metrics { return e.metrics }
-
-// SetMetrics redirects all per-landmark estimators to record into m. Call
-// before issuing queries, not concurrently with them.
-func (e *PortfolioEstimator) SetMetrics(m *Metrics) {
-	e.metrics = m
-	for _, est := range e.ests {
-		est.SetMetrics(m)
-	}
-}
-
-// Stats snapshots the shared metrics sink.
-func (e *PortfolioEstimator) Stats() Stats { return e.metrics.Snapshot() }
-
-// Reseed resets every per-landmark estimator's random stream to a
-// deterministic function of seed (each landmark keeps its own offset).
-func (e *PortfolioEstimator) Reseed(seed uint64) {
-	if seed == 0 {
-		seed = 1
-	}
-	for j, est := range e.ests {
-		s := seed + uint64(j)*0x9e3779b97f4a7c15
-		if s == 0 {
-			s = 1
-		}
-		est.Reseed(s)
-	}
-}
-
-// Pair estimates r(s,t) through the cheapest non-conflicting landmark.
-func (e *PortfolioEstimator) Pair(s, t int) (Estimate, error) {
-	return e.PairContext(context.Background(), s, t)
-}
-
-// PairContext is Pair with cancellation. Routing: landmarks are tried in
-// ascending cost-law order; one that equals s or t is skipped (counted as
-// a RouterFallback). Only if every landmark conflicts does the query fail
-// with ErrLandmarkConflict — with K ≥ 3 distinct landmarks that cannot
-// happen.
-func (e *PortfolioEstimator) PairContext(ctx context.Context, s, t int) (Estimate, error) {
-	g := e.p.G
-	if err := g.ValidateVertex(s); err != nil {
-		return Estimate{}, err
-	}
-	if err := g.ValidateVertex(t); err != nil {
-		return Estimate{}, err
-	}
-	for _, j := range e.p.Route(s, t) {
-		v := e.p.Landmarks[j]
-		if v == s || v == t {
-			e.p.NoteFallback()
-			e.metrics.RouterFallbacks.Inc()
-			continue
-		}
-		res, err := e.ests[j].PairContext(ctx, s, t)
-		if err != nil {
-			if errors.Is(err, ErrLandmarkConflict) {
-				e.p.NoteFallback()
-				e.metrics.RouterFallbacks.Inc()
-				continue
-			}
-			return res, err
-		}
-		e.p.NoteRouted(j)
-		e.metrics.PortfolioQueries.Inc()
-		return res, nil
-	}
-	return Estimate{}, fmt.Errorf("landmarkrd: every portfolio landmark conflicts with query (%d,%d): %w", s, t, ErrLandmarkConflict)
 }

@@ -4,7 +4,7 @@ package landmarkrd
 // the dense oracle at exact tolerance for K ∈ {1, 2, 4}, byte-identical
 // determinism across worker counts, the v3 snapshot round trip (plus v2
 // read compatibility, from a committed fixture), and the router's
-// conflict-fallback behavior on both the estimator and the batch engine.
+// conflict-fallback behavior on the batch engine.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"landmarkrd/internal/core"
@@ -253,66 +254,10 @@ func pathGraph(t *testing.T, n int) *Graph {
 	return g
 }
 
-// TestPortfolioEstimatorFallback pins the router's conflict behavior on a
-// path with landmarks at both ends: a query touching the cheapest landmark
-// must fall back to the other one (counted in the stats), and a K=1
-// portfolio whose only landmark conflicts must fail with the typed
-// sentinel.
-func TestPortfolioEstimatorFallback(t *testing.T) {
-	g := pathGraph(t, 10)
-	p, err := BuildPortfolioIndex(g, PortfolioBuildOptions{
-		Landmarks: []int{0, 9}, Mode: DiagExactCG, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewPortfolioEstimator(p, Push, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (0, 3): landmark 0 is the cheapest column (cost r(0,0)+r(3,0) = 3 vs
-	// 9+6 = 15 for landmark 9) but collides with the endpoint, so the
-	// query must be served by landmark 9.
-	res, err := est.Pair(0, 3)
-	if err != nil {
-		t.Fatalf("Pair(0,3): %v", err)
-	}
-	if want := 3.0; math.Abs(res.Value-want) > 1e-3 {
-		t.Fatalf("Pair(0,3) = %v, want %v", res.Value, want)
-	}
-	st := p.Stats()
-	if st.Fallbacks < 1 {
-		t.Fatalf("fallbacks = %d, want >= 1", st.Fallbacks)
-	}
-	if st.Routed[1] != 1 {
-		t.Fatalf("routed = %v, want landmark 9 (position 1) to have served the query", st.Routed)
-	}
-	ms := est.Stats()
-	if ms.RouterFallbacks < 1 || ms.PortfolioQueries != 1 {
-		t.Fatalf("metrics: fallbacks=%d portfolio-queries=%d, want >=1 and 1",
-			ms.RouterFallbacks, ms.PortfolioQueries)
-	}
-
-	t.Run("AllConflict", func(t *testing.T) {
-		p1, err := BuildPortfolioIndex(g, PortfolioBuildOptions{
-			Landmarks: []int{4}, Mode: DiagExactCG, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e1, err := NewPortfolioEstimator(p1, Push, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e1.Pair(4, 7); !errors.Is(err, ErrLandmarkConflict) {
-			t.Fatalf("all-conflict Pair: %v, want ErrLandmarkConflict", err)
-		}
-	})
-}
-
-// TestBatchEnginePortfolio covers the batch path: portfolio-routed batches
-// must be byte-identical across worker counts, answer landmark-touching
-// queries through the fallback chain (exact only when every member
+// TestBatchEnginePortfolio covers the routed pair path: portfolio-routed
+// batches must be byte-identical across worker counts, answer
+// landmark-touching queries through the fallback chain (counted in the
+// portfolio's and the engine's stats; exact only when every member
 // conflicts), and reject invalid option combinations.
 func TestBatchEnginePortfolio(t *testing.T) {
 	g := pathGraph(t, 12)
@@ -377,6 +322,55 @@ func TestBatchEnginePortfolio(t *testing.T) {
 		}
 	}
 
+	path10 := pathGraph(t, 10)
+	t.Run("Fallback", func(t *testing.T) {
+		p, err := BuildPortfolioIndex(path10, PortfolioBuildOptions{
+			Landmarks: []int{0, 9}, Mode: DiagExactCG, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewBatchEngine(path10, Push, BatchOptions{Portfolio: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// (0, 3): landmark 0 is the cheapest column (cost r(0,0)+r(3,0) = 3
+		// vs 9+6 = 15 for landmark 9) but is an endpoint, so landmark 9
+		// must answer.
+		res, err := eng.Pairs([]PairQuery{{S: 0, T: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res[0]; r.Err != nil || math.Abs(r.Estimate.Value-3) > 1e-3 {
+			t.Fatalf("(0,3) = %v, %v, want 3", r.Estimate.Value, r.Err)
+		}
+		if st := p.Stats(); st.Routed[1] != 1 || st.Fallbacks < 1 {
+			t.Fatalf("portfolio stats: routed %v, fallbacks %d; want landmark 9 (position 1) to answer after >= 1 fallback",
+				st.Routed, st.Fallbacks)
+		}
+		if ms := eng.Stats(); ms.RouterFallbacks != 1 || ms.PortfolioQueries != 1 {
+			t.Fatalf("engine stats: router fallbacks %d, portfolio queries %d; want 1 and 1",
+				ms.RouterFallbacks, ms.PortfolioQueries)
+		}
+		if eng.Portfolio() != p {
+			t.Fatal("Portfolio() does not return the routed portfolio")
+		}
+	})
+	t.Run("AllMembersConflict", func(t *testing.T) {
+		p, err := BuildPortfolioIndex(path10, PortfolioBuildOptions{
+			Landmarks: []int{4}, Mode: DiagExactCG, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Pairs(path10, Push, []PairQuery{{S: 4, T: 7}}, BatchOptions{Portfolio: p, OnConflict: ConflictError})
+		if err != nil {
+			t.Fatalf("batch failed: %v", err)
+		}
+		if !errors.Is(res[0].Err, ErrLandmarkConflict) {
+			t.Fatalf("all-conflict query: err %v, want ErrLandmarkConflict", res[0].Err)
+		}
+	})
 	t.Run("RejectPinWithPortfolio", func(t *testing.T) {
 		_, err := NewBatchEngine(g, Push, BatchOptions{Portfolio: p, PinLandmark: true, Landmark: 3})
 		if err == nil {
@@ -414,9 +408,56 @@ func TestSelectPortfolioLandmarksSpread(t *testing.T) {
 	}
 }
 
+// TestSelectorsMatchConstructors: the public landmark selectors read seed 0
+// as 1, as the constructors do, so at every seed each names the landmarks
+// its constructor selects with the same strategy and seed.
+func TestSelectorsMatchConstructors(t *testing.T) {
+	ba, err := BarabasiAlbert(400, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := Grid(15, 15, 0.08, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{ba, grid} {
+		for _, seed := range []uint64{0, 1, 7} {
+			for _, s := range []Strategy{MaxDegree, RandomVertex} {
+				lms, err := SelectPortfolioLandmarks(g, 4, s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 4, Strategy: s, Mode: DiagSketch, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(lms, pf.Landmarks) {
+					t.Errorf("n=%d seed %d %v: SelectPortfolioLandmarks %v, BuildPortfolioIndex %v", g.N(), seed, s, lms, pf.Landmarks)
+				}
+			}
+			v, err := SelectLandmark(g, RandomVertex, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Strategy: RandomVertex, Seed: seed}
+			est, err := NewEstimator(g, BiPush, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewBatchEngine(g, BiPush, BatchOptions{Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.Landmark() != v || eng.Landmark() != v {
+				t.Errorf("n=%d seed %d: SelectLandmark %d, NewEstimator %d, NewBatchEngine %d", g.N(), seed, v, est.Landmark(), eng.Landmark())
+			}
+		}
+	}
+}
+
 // TestPortfolioAccessors pins the thin surface of the public portfolio
-// types: file save/load wrappers, the context single-source path, the
-// estimator's accessor and reseed plumbing, and the per-column index view.
+// type: file save/load wrappers, the context single-source path, and the
+// per-column index view.
 func TestPortfolioAccessors(t *testing.T) {
 	g := pathGraph(t, 16)
 	p, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 2, Mode: DiagExactCG, Seed: 3})
@@ -478,38 +519,6 @@ func TestPortfolioAccessors(t *testing.T) {
 		}
 		if want := int64(p.K()) * int64(g.N()) * 8; p.MemoryBytes() != want {
 			t.Fatalf("MemoryBytes = %d, want %d", p.MemoryBytes(), want)
-		}
-	})
-
-	t.Run("EstimatorSurface", func(t *testing.T) {
-		pe, err := NewPortfolioEstimator(p, Push, Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pe.Method() != Push {
-			t.Errorf("Method() = %v, want Push", pe.Method())
-		}
-		if pe.Portfolio() != p {
-			t.Error("Portfolio() does not return the built portfolio")
-		}
-		if lms := pe.Landmarks(); len(lms) != 2 || lms[0] != p.Landmarks[0] {
-			t.Errorf("Landmarks() = %v, want %v", lms, p.Landmarks)
-		}
-		shared := &Metrics{}
-		pe.SetMetrics(shared)
-		if pe.Metrics() != shared {
-			t.Error("SetMetrics did not rebind the sink")
-		}
-		pe.Reseed(11)
-		res, err := pe.PairContext(context.Background(), 2, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 11.0; math.Abs(res.Value-want) > 1e-2*want {
-			t.Errorf("PairContext r(2,13) = %g, want ≈ %g", res.Value, want)
-		}
-		if pe.Stats().PortfolioQueries == 0 {
-			t.Error("Stats() did not count the portfolio query")
 		}
 	})
 }
