@@ -560,15 +560,19 @@ func ClusterGraph(g *Graph, k int, seed uint64) (*Clustering, error) {
 	return clustering.Cluster(g, clustering.Options{K: k, Seed: seed}, randx.New(seed))
 }
 
-// DynamicUpdater maintains resistance queries under edge insertions and
-// deletions via Sherman-Morrison rank-one updates — no rebuilds. Intended
-// for small update streams ("what if we add this link?").
+// DynamicUpdater answers resistance queries under edge insertions and
+// deletions with no rebuild: it keeps a log of conductance deltas over the
+// base graph and solves r(s, t) on base plus log with one exact CG solve.
+// AddEdge and RemoveConductance run no solve; a removal of more
+// conductance than the pair carries fails with ErrExceedsConductance, one
+// that cuts a bridge with ErrDisconnecting. Intended for small update
+// streams ("what if we add this link?").
 type DynamicUpdater = dynamic.Updater
 
-// NewDynamic creates an updater over base graph g.
+// NewDynamic creates an updater over the connected base graph g.
 func NewDynamic(g *Graph) (*DynamicUpdater, error) {
 	if err := requireGraph(g); err != nil {
 		return nil, err
 	}
-	return dynamic.New(g, 0)
+	return dynamic.New(g)
 }

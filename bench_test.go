@@ -727,9 +727,10 @@ func BenchmarkElectricFlow(b *testing.B) {
 }
 
 // BenchmarkQueryUnderUpdates measures the fresh-read path of the live
-// epoch layer: one grounded solve plus O(1) Sherman-Morrison work per
-// pending patch. The patch-depth subtests map the cost law that drives
-// the re-base threshold (patches·n/(4m+n) extra sweeps per query).
+// epoch layer: one exact Jacobi CG solve on the grounded Laplacian of base
+// plus patch log, whose every iteration adds O(1) work per patched pair
+// to the base sweep. The patch-depth subtests show what pending patches
+// cost a fresh read.
 func BenchmarkQueryUnderUpdates(b *testing.B) {
 	for _, patches := range []int{0, 8, 32} {
 		b.Run(fmt.Sprintf("patches=%d", patches), func(b *testing.B) {

@@ -47,15 +47,18 @@
 // Every endpoint answers a wrong HTTP method with a structured 405 and an
 // Allow header.
 //
-// The serving state is epoch-versioned: POST /v1/update streams edge
-// insertions and deletions onto the current epoch as Sherman-Morrison
-// patches without blocking queries, every query pins the epoch it started
-// on, and a background re-base folds the patch stack into a freshly built
-// portfolio once -max-patches accumulate (or every -rebase-interval, if set),
-// publishing the result as a new epoch. A superseded epoch is retired only
-// after its last in-flight query completes. SIGHUP reloads share the same
-// epoch lifecycle. SIGINT or SIGTERM stops accepting new queries and
-// drains the in-flight ones before exiting.
+// The serving state is epoch-versioned: POST /v1/update appends an edge
+// insertion or deletion to the current epoch's patch log of conductance
+// deltas without blocking queries and without a solve, every query pins
+// the epoch it started on, and a background re-base folds the log into a
+// freshly built portfolio once -max-patches accumulate (or every
+// -rebase-interval, if set), publishing the result as a new epoch. A
+// removal of more conductance than the pair carries is refused with 422
+// exceeds_conductance, one that would disconnect the graph with 422
+// disconnecting, so every accepted log re-bases. A superseded epoch is
+// retired only after its last in-flight query completes. SIGHUP reloads
+// share the same epoch lifecycle. SIGINT or SIGTERM stops accepting new
+// queries and drains the in-flight ones before exiting.
 package main
 
 import (

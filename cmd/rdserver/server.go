@@ -117,8 +117,8 @@ type queryServer struct {
 	cache *rcache.Cache
 
 	// live is the epoch-versioned serving state: graph + engine +
-	// index/portfolio per epoch, a Sherman-Morrison patch stack for
-	// streamed edge updates, and a background re-baser.
+	// index/portfolio per epoch, a patch log of streamed edge updates,
+	// and a background re-baser.
 	live *landmarkrd.LiveIndex
 
 	// ready gates /readyz and /v1/update: false until the first epoch is
@@ -376,7 +376,7 @@ func (s *queryServer) checkShardLandmarks(got []int) error {
 // with a snapshot or index mode configured the re-read/rebuilt portfolio
 // (with a fresh engine routing through it) is published and any pending
 // live patches are dropped — the snapshot is authoritative; without one,
-// reload folds the pending patch stack through a re-base rather than
+// reload folds the pending patch log through a re-base rather than
 // reverting to the base graph. In-flight queries keep the epoch they
 // pinned at request start and drain on the old state. On failure the old
 // epoch stays current and the server returns to ready.
@@ -405,7 +405,7 @@ func (s *queryServer) reload() error {
 	return err
 }
 
-// rebaseLoop periodically folds the pending patch stack into a fresh epoch
+// rebaseLoop periodically folds the pending patch log into a fresh epoch
 // (the -rebase-interval ticker; threshold-triggered re-bases run
 // regardless). Stops when ctx is done.
 func (s *queryServer) rebaseLoop(ctx context.Context, interval time.Duration) {
@@ -691,10 +691,12 @@ type updateRequest struct {
 
 // handleUpdate applies one streamed edge mutation: POST
 // {"op":"add"|"remove","s":0,"t":1,"weight":1.5}. The mutation lands on
-// the current epoch's patch stack without blocking queries; crossing the
-// -max-patches threshold triggers a background re-base. Removing a bridge
-// is rejected with 422 ("disconnecting"); updates during a reload are
-// rejected with 503 so the incoming snapshot stays authoritative.
+// the current epoch's patch log without blocking queries; crossing the
+// -max-patches threshold triggers a background re-base. Removing more
+// conductance than the pair carries is rejected with 422
+// ("exceeds_conductance"), removing a bridge with 422 ("disconnecting");
+// updates during a reload are rejected with 503 so the incoming snapshot
+// stays authoritative.
 func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		s.api.Error(w, http.StatusServiceUnavailable, "not_ready",
@@ -745,6 +747,10 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		Op: op, S: req.S, T: req.T, Weight: req.Weight,
 	})
 	if err != nil {
+		if errors.Is(err, landmarkrd.ErrExceedsConductance) {
+			s.api.Error(w, http.StatusUnprocessableEntity, "exceeds_conductance", err.Error())
+			return
+		}
 		if errors.Is(err, landmarkrd.ErrDisconnecting) {
 			s.api.Error(w, http.StatusUnprocessableEntity, "disconnecting", err.Error())
 			return

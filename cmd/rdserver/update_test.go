@@ -29,8 +29,8 @@ func postUpdate(t *testing.T, url, body string) (*http.Response, []byte) {
 
 // TestUpdateEndpointTable drives /v1/update through the request-validation
 // matrix: wrong method, malformed bodies, unknown ops, bad weights,
-// impossible vertices, and finally a valid add that lands on the patch
-// stack.
+// impossible vertices, a removal from a pair that carries no conductance,
+// and finally a valid add that lands on the patch log.
 func TestUpdateEndpointTable(t *testing.T) {
 	srv := newTestServer(t, serverConfig{indexMode: "exact", timeout: 30 * time.Second})
 	ts := httptest.NewServer(srv.routes())
@@ -49,6 +49,7 @@ func TestUpdateEndpointTable(t *testing.T) {
 		{"out of range s", `{"op":"add","s":-1,"t":1}`, http.StatusUnprocessableEntity, "vertex_out_of_range"},
 		{"out of range t", `{"op":"add","s":0,"t":100000}`, http.StatusUnprocessableEntity, "vertex_out_of_range"},
 		{"self loop", `{"op":"add","s":4,"t":4}`, http.StatusUnprocessableEntity, "self_loop"},
+		{"remove from non-edge", `{"op":"remove","s":5,"t":60,"weight":0.5}`, http.StatusUnprocessableEntity, "exceeds_conductance"},
 		{"valid add", `{"op":"add","s":0,"t":37,"weight":0.5}`, http.StatusOK, ""},
 	}
 	for _, tc := range cases {
@@ -125,7 +126,7 @@ func TestUpdateBodyTooLarge(t *testing.T) {
 
 // TestUpdateDisconnectingRejected proves a removal that would cut the graph
 // is rejected with 422 and the typed "disconnecting" code, on both the
-// indexed (Sherman-Morrison guard) and index-free (dynamic updater) paths.
+// indexed and index-free serving paths.
 func TestUpdateDisconnectingRejected(t *testing.T) {
 	for _, mode := range []string{"exact", "none"} {
 		t.Run("index-mode="+mode, func(t *testing.T) {
@@ -158,7 +159,7 @@ func TestUpdateDisconnectingRejected(t *testing.T) {
 				t.Errorf("error code %q, want disconnecting", body.Error.Code)
 			}
 			if got := srv.live.PendingPatches(); got != 0 {
-				t.Errorf("rejected update left %d patches on the stack", got)
+				t.Errorf("rejected update left %d patches on the log", got)
 			}
 		})
 	}

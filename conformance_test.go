@@ -2,7 +2,7 @@ package landmarkrd
 
 // The conformance suite: every estimator in the module — the three
 // landmark methods, the single-source index in all three diagonal modes,
-// the exact solvers (CG, approximate Cholesky, dynamic Sherman–Morrison),
+// the exact solvers (CG, approximate Cholesky, the dynamic updater),
 // the extended comparators (Lanczos, Chebyshev, power method, lazy walks,
 // sketch) — is checked against the dense oracle over a golden corpus of
 // deterministic graphs stored under testdata/corpus.
@@ -147,9 +147,9 @@ func TestConformanceOracleSelfCheck(t *testing.T) {
 
 // TestConformanceExact pins every solver-grade path to the oracle at
 // 1e-9: the public CG solve, commute time, electric flow and potentials,
-// the approximate-Cholesky-preconditioned solver, the Sherman–Morrison
-// dynamic updater with zero updates, and the DiagExactCG single-source
-// index at a tightened tolerance.
+// the approximate-Cholesky-preconditioned solver, the dynamic updater
+// with zero updates, and the DiagExactCG single-source index at a
+// tightened tolerance.
 func TestConformanceExact(t *testing.T) {
 	for _, c := range conformanceCases(t) {
 		t.Run(c.Name, func(t *testing.T) {
@@ -157,7 +157,7 @@ func TestConformanceExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chol.NewSolver: %v", err)
 			}
-			dyn, err := dynamic.New(c.G, 1e-12)
+			dyn, err := dynamic.New(c.G)
 			if err != nil {
 				t.Fatalf("dynamic.New: %v", err)
 			}

@@ -159,9 +159,10 @@ func FuzzIndexSingleSource(f *testing.F) {
 }
 
 // FuzzDynamicDifferential applies a fuzz-chosen edge insertion to the
-// Sherman–Morrison updater and cross-checks its answer against a fresh
-// exact solve on the materialized graph — a differential oracle that
-// catches silent rank-one-update corruption, not just crashes.
+// dynamic updater and cross-checks its answer against a fresh exact solve
+// on the materialized graph — a differential oracle that catches a
+// matrix-free patch operator that drifts from the graph re-base builds,
+// not just crashes.
 func FuzzDynamicDifferential(f *testing.F) {
 	seedCorpus(f, func(data []byte) {
 		f.Add(data, uint16(0), uint16(9), 1.5, uint16(2), uint16(6))

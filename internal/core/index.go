@@ -525,31 +525,3 @@ func (idx *Index) SingleSourceContext(ctx context.Context, s int, opts SingleSou
 	}
 	return out, nil
 }
-
-// SolveGroundedContext solves L_v x = rhs against the index's grounded
-// operator using a pooled solver (sharing the index's resolved
-// preconditioner), returning a caller-owned copy of the solution. The
-// landmark coordinates of rhs are ignored and x[landmark] is 0 — this is
-// the grounded restriction the Sherman-Morrison patch layer needs to turn
-// an edge-delta into a correction vector. tol <= 0 defaults to 1e-8, the
-// same default as SingleSource query solves.
-func (idx *Index) SolveGroundedContext(ctx context.Context, rhs []float64, tol float64) ([]float64, error) {
-	if len(rhs) != idx.G.N() {
-		return nil, fmt.Errorf("core: grounded solve rhs length %d, want %d", len(rhs), idx.G.N())
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	solver := idx.acquireSolver()
-	defer idx.solvers.Put(solver)
-	x, _, err := solver.SolveContext(ctx, rhs, tol)
-	if err != nil {
-		if errors.Is(err, cancel.ErrCanceled) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: grounded patch solve: %w", err)
-	}
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out, nil
-}

@@ -1,31 +1,30 @@
 // Package dynamic maintains resistance-distance queries over a base graph
-// subject to a small stream of edge insertions and deletions, without
-// rebuilding anything: each update is a rank-one change of the Laplacian,
+// subject to a stream of edge insertions and deletions, without rebuilding
+// anything. An update is a conductance delta on one vertex pair, and the
+// updater keeps exactly that: an immutable copy-on-write log of Patch
+// values over the base graph.
 //
-//	L' = L + w·δδᵀ,   δ = e_a − e_b,
+// Every delta passes one exact check before it is logged: a removal may
+// not take more conductance than the pair carries in base plus log
+// (ErrExceedsConductance), and a delta that brings a pair to zero must not
+// cut a bridge (ErrDisconnecting). The check applies MaterializeGraph's
+// cutoffs, so an accepted log always materializes into a connected graph.
+// It costs one pair lookup, plus one BFS over base plus log when a pair
+// reaches zero; no update runs a linear solve or stores a vector.
 //
-// so the pseudo-inverse updates by Sherman-Morrison,
-//
-//	L'† = L† − w·(L†δ)(L†δ)ᵀ / (1 + w·δᵀL†δ),
-//
-// (valid because δ ⊥ 1 keeps the null space fixed). The updater stores one
-// potential vector per update; a query costs one base Laplacian solve plus
-// O(n) per stored update. Intended for small update counts (the classic
-// "what if we add this link / close this road" analyses); for bulk changes
-// rebuild the graph.
-//
-// PatchedIndex applies the same identity to the grounded operator L_v of a
-// landmark index, which is what the live-serving epoch layer patches
-// between re-bases: the grounded restriction of δδᵀ is still rank one
-// (even when an endpoint is the landmark), and the denominator
-// 1 + w·δᵀL_v⁻¹δ = 1 + w·r(a,b) is identical to the full-Laplacian one, so
-// the disconnection guard transfers unchanged.
+// Resistance answers r(s, t) on base plus log with one Jacobi CG solve on
+// the grounded Laplacian, applying the log's deltas matrix-free. Intended
+// for modest update counts (the classic "what if we add this link / close
+// this road" analyses, and the live-serving epoch layer between re-bases);
+// for bulk changes rebuild the graph with MaterializeGraph.
 package dynamic
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"landmarkrd/internal/graph"
@@ -34,18 +33,30 @@ import (
 )
 
 // ErrDisconnecting is returned (wrapped — match with errors.Is) when a
-// conductance removal would disconnect the graph: the Sherman-Morrison
-// denominator 1 + w·r(a,b) is non-positive exactly when the removal takes
-// out a bridge (or more conductance than the pair carries), since removing
-// w from a pair at effective resistance r is singular at w·r = 1.
+// conductance removal would disconnect the graph: it brings a pair to zero
+// conductance and that pair is a bridge of base plus log.
 var ErrDisconnecting = errors.New("dynamic: update would disconnect the graph")
 
-// update is one applied rank-one modification.
-type update struct {
-	a, b  int
-	w     float64   // signed: negative = deletion of conductance
-	z     []float64 // (previous operator)† δ
-	denom float64   // 1 + w·δᵀz
+// ErrExceedsConductance is returned (wrapped — match with errors.Is) when a
+// removal takes more conductance than the pair carries in base plus log,
+// which would leave a negative edge weight.
+var ErrExceedsConductance = errors.New("dynamic: removal exceeds the pair's conductance")
+
+// MaterializeGraph's relative cutoffs, shared with the update check: a
+// pair whose accumulated weight is above keepAbove times the magnitude
+// that went into it is an edge, one below negativeBelow times that
+// magnitude is an error, and one in between is cancellation dust and
+// dropped.
+const (
+	keepAbove     = 1e-12
+	negativeBelow = -1e-9
+)
+
+// Patch is one edge-delta against a base graph: W > 0 adds conductance
+// between A and B, W < 0 removes it.
+type Patch struct {
+	A, B int
+	W    float64
 }
 
 // Updater answers resistance queries on the base graph plus applied updates.
@@ -55,57 +66,34 @@ type update struct {
 // immutable copy-on-write snapshot behind an atomic pointer, so a reader
 // sees either the log before or after an append, never a torn slice.
 type Updater struct {
-	g       *graph.Graph
-	op      *lap.Laplacian
-	tol     float64
-	updates atomic.Pointer[[]update]
+	g   *graph.Graph
+	log atomic.Pointer[[]Patch]
 }
 
-// New creates an updater over base graph g. tol is the CG tolerance of the
-// base solves (default 1e-10).
-func New(g *graph.Graph, tol float64) (*Updater, error) {
+// New creates an updater over the connected base graph g.
+func New(g *graph.Graph) (*Updater, error) {
 	if !g.IsConnected() {
 		return nil, graph.ErrNotConnected
 	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	u := &Updater{g: g, op: &lap.Laplacian{G: g}, tol: tol}
-	u.updates.Store(&[]update{})
+	u := &Updater{g: g}
+	u.log.Store(&[]Patch{})
 	return u, nil
 }
 
 // snapshot returns the current immutable update log.
-func (u *Updater) snapshot() []update { return *u.updates.Load() }
-
-// appendUpdate publishes a new log with up appended. Callers (the mutation
-// path) are externally serialized.
-func (u *Updater) appendUpdate(up update) {
-	cur := u.snapshot()
-	next := make([]update, len(cur), len(cur)+1)
-	copy(next, cur)
-	next = append(next, up)
-	u.updates.Store(&next)
-}
+func (u *Updater) snapshot() []Patch { return *u.log.Load() }
 
 // Updates returns the number of applied modifications.
 func (u *Updater) Updates() int { return len(u.snapshot()) }
 
-// applyPinv computes y = (current L)† x for x ⊥ 1 against the given update
-// log snapshot.
-func (u *Updater) applyPinv(x []float64, ups []update) ([]float64, error) {
-	y := make([]float64, u.g.N())
-	rhs := make([]float64, u.g.N())
-	copy(rhs, x)
-	linalg.ProjectOutConstant(rhs)
-	if _, err := linalg.CG(u.op, y, rhs, linalg.CGOptions{Tol: u.tol, ProjectConstant: true}); err != nil {
-		return nil, fmt.Errorf("dynamic: base solve: %w", err)
-	}
-	for _, up := range ups {
-		coef := up.w * linalg.Dot(up.z, x) / up.denom
-		linalg.Axpy(-coef, up.z, y)
-	}
-	return y, nil
+// Patches returns the applied modifications as edge-deltas, in application
+// order.
+func (u *Updater) Patches() []Patch { return slices.Clone(u.snapshot()) }
+
+// Materialize rebuilds a plain graph with all updates applied — useful to
+// reset the updater after many modifications, and for testing.
+func (u *Updater) Materialize() (*graph.Graph, error) {
+	return MaterializeGraph(u.g, u.snapshot())
 }
 
 func (u *Updater) validate(a, b int) error {
@@ -121,9 +109,52 @@ func (u *Updater) validate(a, b int) error {
 	return nil
 }
 
-// Resistance returns r(s, t) on the current (base + updates) graph. Safe
-// to call concurrently with mutations; the answer reflects a consistent
-// prefix of the update stream.
+// AddEdge inserts an edge {a, b} of conductance w > 0 (parallel to any
+// existing edge; conductances add).
+func (u *Updater) AddEdge(a, b int, w float64) error {
+	if err := u.validate(a, b); err != nil {
+		return err
+	}
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("dynamic: AddEdge needs finite w > 0, got %v", w)
+	}
+	return u.apply(Patch{A: a, B: b, W: w})
+}
+
+// RemoveConductance subtracts w units of conductance from the pair {a, b}.
+// Removing more than the pair carries fails with an error matching
+// ErrExceedsConductance; removing all of a bridge's conductance fails with
+// one matching ErrDisconnecting. A rejected removal leaves the log as it
+// was.
+func (u *Updater) RemoveConductance(a, b int, w float64) error {
+	if err := u.validate(a, b); err != nil {
+		return err
+	}
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("dynamic: RemoveConductance needs finite w > 0, got %v", w)
+	}
+	return u.apply(Patch{A: a, B: b, W: -w})
+}
+
+// apply checks p against the current log and publishes the log with p
+// appended. Callers (the mutation path) are externally serialized.
+func (u *Updater) apply(p Patch) error {
+	cur := u.snapshot()
+	next := make([]Patch, len(cur), len(cur)+1)
+	copy(next, cur)
+	next = append(next, p)
+	if err := check(u.g, next); err != nil {
+		return fmt.Errorf("dynamic: update (%d,%d,%v): %w", p.A, p.B, p.W, err)
+	}
+	u.log.Store(&next)
+	return nil
+}
+
+// Resistance returns r(s, t) on the current (base + updates) graph: one
+// Jacobi CG solve at lap.ExactTol on the grounded Laplacian of the graph
+// MaterializeGraph would build, grounded where lap.ResistanceCG grounds.
+// Safe to call concurrently with mutations; the answer reflects a
+// consistent prefix of the update stream.
 func (u *Updater) Resistance(s, t int) (float64, error) {
 	if err := u.g.ValidateVertex(s); err != nil {
 		return 0, err
@@ -134,76 +165,165 @@ func (u *Updater) Resistance(s, t int) (float64, error) {
 	if s == t {
 		return 0, nil
 	}
-	delta := make([]float64, u.g.N())
-	delta[s] = 1
-	delta[t] = -1
-	y, err := u.applyPinv(delta, u.snapshot())
-	if err != nil {
-		return 0, err
+	op := &patchedGrounded{
+		base:  lap.Grounded{G: u.g, Landmark: lap.GroundVertex(u.g, s, t)},
+		pairs: foldLog(u.g, u.snapshot()),
 	}
-	return y[s] - y[t], nil
+	b := make([]float64, u.g.N())
+	b[s] = 1
+	b[t] = -1
+	b[op.base.Landmark] = 0 // the ground is t itself when n == 2
+	x := make([]float64, len(b))
+	if _, err := linalg.CG(op, x, b, linalg.CGOptions{Tol: lap.ExactTol}); err != nil {
+		return 0, fmt.Errorf("dynamic: resistance solve: %w", err)
+	}
+	return x[s] - x[t], nil
 }
 
-// AddEdge inserts an edge {a, b} of conductance w > 0 (parallel to any
-// existing edge; conductances add).
-func (u *Updater) AddEdge(a, b int, w float64) error {
-	if err := u.validate(a, b); err != nil {
-		return err
+// check decides whether MaterializeGraph(g, log) succeeds and is
+// connected, given that it does for log without its last patch: only the
+// last patch's pair changed, so the answer is that pair's sum against the
+// cutoffs and, when the pair drops to zero, whether its endpoints still
+// reach each other.
+func check(g *graph.Graph, log []Patch) error {
+	last := log[len(log)-1]
+	pairs := foldLog(g, log)
+	p := pairs[slices.IndexFunc(pairs, func(p pairSum) bool {
+		return p.a == min(last.A, last.B) && p.b == max(last.A, last.B)
+	})]
+	switch {
+	case p.w < negativeBelow*p.abs:
+		return fmt.Errorf("%w: it leaves %v on (%d,%d)", ErrExceedsConductance, p.w, p.a, p.b)
+	case !p.kept() && !reachable(g, pairs, p.a, p.b):
+		return ErrDisconnecting
 	}
-	if !(w > 0) {
-		return fmt.Errorf("dynamic: AddEdge needs w > 0, got %v", w)
-	}
-	return u.applyRankOne(a, b, w)
-}
-
-// RemoveConductance subtracts w units of conductance from the pair {a, b}.
-// Removing a bridge (or more conductance than exists) disconnects the
-// graph; that is detected via the Sherman-Morrison denominator
-// 1 − w·r(a,b) ≤ 0 and rejected with an error matching ErrDisconnecting.
-func (u *Updater) RemoveConductance(a, b int, w float64) error {
-	if err := u.validate(a, b); err != nil {
-		return err
-	}
-	if !(w > 0) {
-		return fmt.Errorf("dynamic: RemoveConductance needs w > 0, got %v", w)
-	}
-	return u.applyRankOne(a, b, -w)
-}
-
-func (u *Updater) applyRankOne(a, b int, w float64) error {
-	ups := u.snapshot()
-	delta := make([]float64, u.g.N())
-	delta[a] = 1
-	delta[b] = -1
-	z, err := u.applyPinv(delta, ups)
-	if err != nil {
-		return err
-	}
-	rab := z[a] - z[b]
-	denom := 1 + w*rab
-	if denom <= 1e-12 || math.IsNaN(denom) {
-		return fmt.Errorf("dynamic: update (%d,%d,%v): %w (1 + w·r = %v)", a, b, w, ErrDisconnecting, denom)
-	}
-	u.appendUpdate(update{a: a, b: b, w: w, z: z, denom: denom})
 	return nil
 }
 
-// Patch is one edge-delta against a base graph: W > 0 adds conductance
-// between A and B, W < 0 removes it.
-type Patch struct {
-	A, B int
-	W    float64
+// pairSum is the conductance base plus log carries on one pair the log
+// touches, accumulated in MaterializeGraph's order (base weight, then the
+// patches in log order), with the magnitude of its contributions.
+type pairSum struct {
+	a, b         int // a < b
+	base, w, abs float64
 }
 
-// Patches returns the applied modifications as edge-deltas, in application
-// order.
-func (u *Updater) Patches() []Patch {
-	ups := u.snapshot()
-	out := make([]Patch, len(ups))
-	for i, up := range ups {
-		out[i] = Patch{A: up.a, B: up.b, W: up.w}
+// kept reports whether MaterializeGraph keeps the pair as an edge.
+func (p pairSum) kept() bool { return p.w > keepAbove*p.abs }
+
+// delta returns the conductance the log adds to the pair's base weight in
+// the graph MaterializeGraph builds (negative for a removal).
+func (p pairSum) delta() float64 {
+	if p.kept() {
+		return p.w - p.base
+	}
+	return -p.base
+}
+
+// foldLog sums log per pair, in order of first appearance.
+func foldLog(g *graph.Graph, log []Patch) []pairSum {
+	var out []pairSum
+	at := map[[2]int]int{}
+	for _, q := range log {
+		k := [2]int{min(q.A, q.B), max(q.A, q.B)}
+		i, ok := at[k]
+		if !ok {
+			w := baseWeight(g, k[0], k[1])
+			i = len(out)
+			at[k] = i
+			out = append(out, pairSum{a: k[0], b: k[1], base: w, w: w, abs: math.Abs(w)})
+		}
+		out[i].w += q.W
+		out[i].abs += math.Abs(q.W)
 	}
 	return out
+}
+
+// baseWeight returns the conductance g carries on {a, b}, 0 for a non-edge.
+func baseWeight(g *graph.Graph, a, b int) float64 {
+	nb := g.Neighbors(a)
+	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= int32(b) })
+	if i < len(nb) && nb[i] == int32(b) {
+		return g.EdgeWeight(a, i)
+	}
+	return 0
+}
+
+// reachable reports whether b is reachable from a in the graph
+// MaterializeGraph builds from g and the log that pairs folds, without
+// building it: the log decides the pairs it touches, the base every other.
+func reachable(g *graph.Graph, pairs []pairSum, a, b int) bool {
+	cut := map[int32][]int32{}   // base edges the log brought to zero
+	extra := map[int32][]int32{} // kept log pairs the base lacks
+	for _, p := range pairs {
+		pa, pb := int32(p.a), int32(p.b)
+		switch {
+		case p.base > 0 && !p.kept():
+			cut[pa], cut[pb] = append(cut[pa], pb), append(cut[pb], pa)
+		case p.base == 0 && p.kept():
+			extra[pa], extra[pb] = append(extra[pa], pb), append(extra[pb], pa)
+		}
+	}
+	seen := make([]bool, g.N())
+	seen[a] = true
+	stack := []int32{int32(a)}
+	for len(stack) > 0 && !seen[b] {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		skip := cut[u]
+		for _, v := range g.Neighbors(int(u)) {
+			if !seen[v] && !slices.Contains(skip, v) {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+		for _, v := range extra[u] {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen[b]
+}
+
+// patchedGrounded is the grounded Laplacian of the graph MaterializeGraph
+// builds, applied matrix-free: the base graph's grounded sweep plus one
+// rank-one term per pair the log changes.
+type patchedGrounded struct {
+	base  lap.Grounded
+	pairs []pairSum
+}
+
+// Dim implements linalg.Operator.
+func (op *patchedGrounded) Dim() int { return op.base.Dim() }
+
+// Apply computes dst = L_v x, treating x[v] as 0 and forcing dst[v] = 0
+// for the grounded vertex v.
+func (op *patchedGrounded) Apply(dst, x []float64) {
+	op.base.Apply(dst, x)
+	v := op.base.Landmark
+	xv := x[v]
+	x[v] = 0
+	for _, p := range op.pairs {
+		f := p.delta() * (x[p.a] - x[p.b])
+		dst[p.a] += f
+		dst[p.b] -= f
+	}
+	x[v] = xv
+	dst[v] = 0
+}
+
+// Diagonal implements linalg.DiagonalProvider, so CG preconditions with
+// Jacobi.
+func (op *patchedGrounded) Diagonal() []float64 {
+	d := op.base.Diagonal()
+	for _, p := range op.pairs {
+		d[p.a] += p.delta()
+		d[p.b] += p.delta()
+	}
+	d[op.base.Landmark] = 1
+	return d
 }
 
 // MaterializeGraph rebuilds a plain graph from g with the patches applied —
@@ -235,17 +355,11 @@ func MaterializeGraph(g *graph.Graph, patches []Patch) (*graph.Graph, error) {
 	bld := graph.NewBuilder(g.N())
 	for k, w := range weights {
 		switch {
-		case w > 1e-12*absSum[k]:
+		case w > keepAbove*absSum[k]:
 			bld.AddWeightedEdge(k.a, k.b, w)
-		case w < -1e-9*absSum[k]:
+		case w < negativeBelow*absSum[k]:
 			return nil, fmt.Errorf("dynamic: negative accumulated weight %v on (%d,%d)", w, k.a, k.b)
 		}
 	}
 	return bld.Build()
-}
-
-// Materialize rebuilds a plain graph with all updates applied — useful to
-// reset the updater after many modifications, and for testing.
-func (u *Updater) Materialize() (*graph.Graph, error) {
-	return MaterializeGraph(u.g, u.Patches())
 }

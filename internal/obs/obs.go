@@ -185,7 +185,7 @@ type Metrics struct {
 	RouterFallbacks  Counter // routed landmarks skipped on conflict with s or t
 
 	LiveUpdates    Counter // edge mutations applied to a live index
-	PatchedQueries Counter // fresh queries answered through the patch stack
+	PatchedQueries Counter // fresh reads answered on base plus patch log
 	Rebases        Counter // live-index re-bases (full rebuilds folding patches in)
 	EpochPublishes Counter // serving epochs published (rebases + hot reloads)
 	EpochRetires   Counter // superseded epochs retired after their readers drained
@@ -350,7 +350,7 @@ func (m *Metrics) ObserveLabelAnswer(d time.Duration) {
 }
 
 // ObserveRebase records one live-index re-base (a full rebuild folding the
-// patch stack into a fresh epoch). Safe on a nil receiver.
+// patch log into a fresh epoch). Safe on a nil receiver.
 func (m *Metrics) ObserveRebase(d time.Duration) {
 	if m == nil {
 		return

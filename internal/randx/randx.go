@@ -141,30 +141,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// SampleDistinct returns k distinct uniform values from [0, n).
-// It panics if k > n or k < 0.
-func (r *RNG) SampleDistinct(k, n int) []int {
-	if k < 0 || k > n {
-		panic("randx: SampleDistinct with k out of range")
-	}
-	if k*4 >= n {
-		// Dense regime: partial Fisher-Yates.
-		p := r.Perm(n)
-		return p[:k]
-	}
-	seen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		v := r.Intn(n)
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
-}
-
 // Geometric returns a sample from the geometric distribution on {1, 2, ...}
 // with success probability p (number of trials until first success).
 // It panics if p is outside (0, 1].

@@ -227,38 +227,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSampleDistinct(t *testing.T) {
-	r := New(5)
-	err := quick.Check(func(kRaw, nRaw uint8) bool {
-		n := int(nRaw%100) + 1
-		k := int(kRaw) % (n + 1)
-		s := r.SampleDistinct(k, n)
-		if len(s) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range s {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSampleDistinctPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SampleDistinct(5,3) did not panic")
-		}
-	}()
-	New(1).SampleDistinct(5, 3)
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(6)
 	const n = 200000

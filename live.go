@@ -8,16 +8,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"landmarkrd/internal/cancel"
 	"landmarkrd/internal/core"
 	"landmarkrd/internal/dynamic"
 	"landmarkrd/internal/epoch"
 )
 
-// ErrDisconnecting reports an edge removal that would disconnect the graph,
-// detected by the Sherman-Morrison denominator guard 1 + w·r(a,b) ≤ 0.
-// Both the offline DynamicUpdater and the live-update path return errors
-// matching it through errors.Is.
+// ErrDisconnecting reports an edge removal that would disconnect the graph:
+// it brings a pair to zero conductance and the pair is a bridge. Both the
+// offline DynamicUpdater and the live-update path return errors matching
+// it through errors.Is.
 var ErrDisconnecting = dynamic.ErrDisconnecting
+
+// ErrExceedsConductance reports an edge removal that takes more
+// conductance than the pair carries (a non-edge carries none). Both the
+// offline DynamicUpdater and the live-update path return errors matching
+// it through errors.Is.
+var ErrExceedsConductance = dynamic.ErrExceedsConductance
 
 // UpdateOp is the kind of a streamed graph mutation.
 type UpdateOp int
@@ -27,7 +34,8 @@ const (
 	// (parallel to any existing edge; conductances add).
 	UpdateAddEdge UpdateOp = iota
 	// UpdateRemoveEdge removes Weight units of conductance from the pair
-	// {S, T}. Removing a bridge is rejected with ErrDisconnecting.
+	// {S, T}. Removing more than the pair carries is rejected with
+	// ErrExceedsConductance, removing a bridge with ErrDisconnecting.
 	UpdateRemoveEdge
 )
 
@@ -76,30 +84,28 @@ type LiveOptions struct {
 	// keeps its shard across epoch publications.
 	Landmarks []int
 	// NoIndex serves without a portfolio: no per-epoch column build, pair
-	// queries run on the engine's strategy-selected landmark, fresh
-	// (patch-aware) queries fall back to full Sherman-Morrison
-	// pseudo-inverse solves, and single-source queries are unavailable.
-	// PortfolioK, Landmarks and InitialPortfolio must be left unset.
+	// queries run on the engine's strategy-selected landmark, and
+	// single-source queries are unavailable. Updates and fresh reads work
+	// as in portfolio mode. PortfolioK, Landmarks and InitialPortfolio
+	// must be left unset.
 	NoIndex bool
 	// Mode selects the column builder of per-epoch portfolios (default
 	// DiagExactCG).
 	Mode DiagMode
-	// Precond selects the CG preconditioner for column builds and patch
-	// solves (default PrecondJacobi).
+	// Precond selects the CG preconditioner for column builds (default
+	// PrecondJacobi).
 	Precond PrecondMode
 	// IndexWorkers shards per-epoch column builds (default GOMAXPROCS).
 	IndexWorkers int
-	// MaxPatches triggers a background re-base once the patch stack
+	// MaxPatches triggers a background re-base once the patch log
 	// reaches this depth (default 64; negative disables the count
 	// trigger).
 	MaxPatches int
-	// MaxPatchOverhead triggers a background re-base once the estimated
-	// per-query patch overhead — patches·n/(4m+n), the patch-correction
-	// work measured in grounded-operator sweeps — crosses this threshold
-	// (default 32 sweeps; negative disables the overhead trigger).
+	// MaxPatchOverhead triggers a background re-base once
+	// patches·n/(4m+n) crosses this threshold (default 32; negative
+	// disables the trigger): a depth cap that grows with the graph's
+	// average degree.
 	MaxPatchOverhead float64
-	// Tol is the CG tolerance of per-update patch solves (default 1e-10).
-	Tol float64
 	// Metrics, when non-nil, receives all live-serving observability
 	// (LiveUpdates, PatchedQueries, Rebases, EpochPublishes, EpochRetires,
 	// RebaseTime) alongside the usual query counters. When nil the index
@@ -120,54 +126,36 @@ type LiveOptions struct {
 
 // liveState is the consistent serving state one epoch governs: the
 // materialized graph, the batch engine and portfolio built on it, and the
-// Sherman-Morrison patch stack of mutations streamed since.
+// patch log of mutations streamed since.
 type liveState struct {
-	g       *Graph
-	engine  *BatchEngine
-	pf      *PortfolioIndex       // nil in NoIndex mode
-	patched *dynamic.PatchedIndex // fresh-read path when a portfolio exists
-	upd     *dynamic.Updater      // fresh-read path in NoIndex mode
+	g      *Graph
+	engine *BatchEngine
+	pf     *PortfolioIndex  // nil in NoIndex mode
+	log    *dynamic.Updater // edge-delta log over g
 }
 
-func (st *liveState) applyPatch(ctx context.Context, a, b int, w float64) error {
-	if st.patched != nil {
-		return st.patched.ApplyUpdateContext(ctx, a, b, w)
+// applyPatch appends the signed conductance delta p to the epoch's log.
+func (st *liveState) applyPatch(p dynamic.Patch) error {
+	if p.W > 0 {
+		return st.log.AddEdge(p.A, p.B, p.W)
 	}
-	if w >= 0 {
-		return st.upd.AddEdge(a, b, w)
-	}
-	return st.upd.RemoveConductance(a, b, -w)
-}
-
-func (st *liveState) patches() []dynamic.Patch {
-	if st.patched != nil {
-		return st.patched.Patches()
-	}
-	return st.upd.Patches()
-}
-
-func (st *liveState) patchCount() int {
-	if st.patched != nil {
-		return st.patched.Len()
-	}
-	return st.upd.Updates()
+	return st.log.RemoveConductance(p.A, p.B, -p.W)
 }
 
 // LiveIndex serves resistance queries over a graph that mutates while
 // queries run. Queries pin a consistent epoch (Pin) — a materialized graph
 // plus the portfolio built on it — and never block; streamed mutations
-// (ApplyUpdate) append Sherman-Morrison patch vectors to the current
-// epoch's stack; a background re-base folds the stack into a fresh build
-// once it crosses the MaxPatches / MaxPatchOverhead thresholds, publishing
-// a new epoch and retiring the old one only after its last pinned query
+// (ApplyUpdate) append checked edge-deltas to the current epoch's patch
+// log; a background re-base folds the log into a fresh build once it
+// crosses the MaxPatches / MaxPatchOverhead thresholds, publishing a new
+// epoch and retiring the old one only after its last pinned query
 // releases it.
 //
 // Consistency model: a pinned epoch's batch and single-source answers are
 // computed against that epoch's materialized graph — bit-identical to a
 // cold build of the same graph, regardless of concurrent mutations. Fresh
-// reads (FreshPairContext) additionally fold the patch stack in through
-// the rank-one identity and see a consistent prefix of the update stream,
-// never a torn stack.
+// reads (FreshPairContext) solve on the graph with the patch log applied
+// and see a consistent prefix of the update stream, never a torn log.
 type LiveIndex struct {
 	opts    LiveOptions
 	seed    uint64
@@ -203,9 +191,6 @@ func NewLiveIndex(g *Graph, opts LiveOptions) (*LiveIndex, error) {
 	}
 	if opts.MaxPatchOverhead == 0 {
 		opts.MaxPatchOverhead = 32
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-10
 	}
 	seed := opts.Batch.Options.Seed
 	if seed == 0 {
@@ -264,15 +249,9 @@ func (li *LiveIndex) buildState(g *Graph, pf *PortfolioIndex) (*liveState, error
 		return nil, fmt.Errorf("landmarkrd: live engine build: %w", err)
 	}
 	st.engine = engine
-	if st.pf != nil {
-		st.patched = dynamic.NewPatchedIndex(st.pf.Index(0), li.opts.Tol, li.metrics)
-		return st, nil
-	}
-	upd, err := dynamic.New(g, li.opts.Tol)
-	if err != nil {
+	if st.log, err = dynamic.New(g); err != nil {
 		return nil, fmt.Errorf("landmarkrd: live updater: %w", err)
 	}
-	st.upd = upd
 	return st, nil
 }
 
@@ -280,8 +259,8 @@ func (li *LiveIndex) buildState(g *Graph, pf *PortfolioIndex) (*liveState, error
 // every publication — re-base or hot reload — increments it).
 func (li *LiveIndex) Epoch() uint64 { return li.mgr.Seq() }
 
-// PendingPatches returns the current epoch's patch-stack depth.
-func (li *LiveIndex) PendingPatches() int { return li.mgr.Current().Value().patchCount() }
+// PendingPatches returns the current epoch's patch-log depth.
+func (li *LiveIndex) PendingPatches() int { return li.mgr.Current().Value().log.Updates() }
 
 // Fingerprint returns the current epoch's graph fingerprint — the cache/
 // routing key for answers computed against that epoch's materialized graph.
@@ -300,19 +279,21 @@ func (li *LiveIndex) Stats() Stats { return li.metrics.Snapshot() }
 type LiveUpdateResult struct {
 	// Epoch is the epoch the mutation was applied to.
 	Epoch uint64
-	// Patches is the patch-stack depth after the mutation.
+	// Patches is the patch-log depth after the mutation.
 	Patches int
-	// RebaseTriggered reports that this mutation pushed the stack over a
+	// RebaseTriggered reports that this mutation pushed the log over a
 	// re-base threshold and a background re-base was started.
 	RebaseTriggered bool
 }
 
-// ApplyUpdate applies one streamed mutation to the current epoch. Queries
-// never block on it; concurrent ApplyUpdate calls serialize. A removal
-// that would disconnect the graph returns an error matching
-// ErrDisconnecting and changes nothing. When the patch stack crosses a
-// re-base threshold a background re-base is kicked off (at most one at a
-// time) and RebaseTriggered is set.
+// ApplyUpdate applies one streamed mutation to the current epoch's patch
+// log; it runs no linear solve. Queries never block on it; concurrent
+// ApplyUpdate calls serialize. A removal of more conductance than the pair
+// carries returns an error matching ErrExceedsConductance, one that would
+// disconnect the graph an error matching ErrDisconnecting, and either
+// changes nothing. When the log crosses a re-base threshold a background
+// re-base is kicked off (at most one at a time) and RebaseTriggered is
+// set. ctx is unused: the update is bounded by one BFS.
 func (li *LiveIndex) ApplyUpdate(ctx context.Context, u GraphUpdate) (LiveUpdateResult, error) {
 	w := u.Weight
 	switch u.Op {
@@ -327,18 +308,14 @@ func (li *LiveIndex) ApplyUpdate(ctx context.Context, u GraphUpdate) (LiveUpdate
 	}
 	li.mu.Lock()
 	st := li.mgr.Current().Value()
-	err := st.applyPatch(ctx, u.S, u.T, w)
-	count := st.patchCount()
+	err := st.applyPatch(dynamic.Patch{A: u.S, B: u.T, W: w})
+	count := st.log.Updates()
 	seq := li.mgr.Seq()
 	li.mu.Unlock()
 	if err != nil {
 		return LiveUpdateResult{}, err
 	}
-	if st.upd != nil {
-		// The patched path counts its own updates; the NoIndex updater
-		// doesn't carry a metrics sink.
-		li.metrics.LiveUpdates.Inc()
-	}
+	li.metrics.LiveUpdates.Inc()
 	res := LiveUpdateResult{Epoch: seq, Patches: count}
 	if li.shouldRebase(st, count) && li.rebasing.CompareAndSwap(false, true) {
 		res.RebaseTriggered = true
@@ -355,9 +332,8 @@ func (li *LiveIndex) ApplyUpdate(ctx context.Context, u GraphUpdate) (LiveUpdate
 	return res, nil
 }
 
-// shouldRebase applies the re-base cost law: trigger on raw stack depth or
-// on estimated per-fresh-query patch overhead p·n/(4m+n), the correction
-// work measured in grounded-operator sweeps (one sweep ≈ 4m+n flops).
+// shouldRebase applies the re-base triggers: the raw log depth, or
+// p·n/(4m+n) for p patches on an epoch graph with n vertices and m edges.
 func (li *LiveIndex) shouldRebase(st *liveState, patches int) bool {
 	if li.opts.MaxPatches > 0 && patches >= li.opts.MaxPatches {
 		return true
@@ -372,13 +348,13 @@ func (li *LiveIndex) shouldRebase(st *liveState, patches int) bool {
 	return false
 }
 
-// Rebase folds the current patch stack into a fresh materialized graph,
+// Rebase folds the current patch log into a fresh materialized graph,
 // rebuilds the portfolio and engine on it (the same parallel builds
 // a cold start runs), and publishes the result as a new epoch. Mutations
 // that race the rebuild are replayed onto the new epoch before
 // publication, so no update is lost. The superseded epoch retires once
 // its last pinned query releases it. Returns the new epoch sequence
-// number; with an empty patch stack it returns the current one unchanged.
+// number; with an empty patch log it returns the current one unchanged.
 func (li *LiveIndex) Rebase(ctx context.Context) (uint64, error) {
 	li.rebaseMu.Lock()
 	defer li.rebaseMu.Unlock()
@@ -386,7 +362,7 @@ func (li *LiveIndex) Rebase(ctx context.Context) (uint64, error) {
 
 	li.mu.Lock()
 	st := li.mgr.Current().Value()
-	base := st.patches()
+	base := st.log.Patches()
 	li.mu.Unlock()
 	if len(base) == 0 {
 		return li.mgr.Seq(), nil
@@ -409,11 +385,11 @@ func (li *LiveIndex) Rebase(ctx context.Context) (uint64, error) {
 		return li.mgr.Seq(), fmt.Errorf("landmarkrd: rebase aborted: epoch replaced during rebuild")
 	}
 	// Replay mutations that arrived while the rebuild ran. They were
-	// accepted against base+suffix, so replaying the suffix on the
-	// materialized base cannot disconnect; an error here is a solver
-	// failure and aborts the re-base with the old epoch intact.
-	for _, p := range st.patches()[len(base):] {
-		if err := next.applyPatch(ctx, p.A, p.B, p.W); err != nil {
+	// accepted against base+suffix, so the check accepts them again on
+	// the materialized base unless rounding moved a pair across a cutoff;
+	// an error aborts the re-base with the old epoch intact.
+	for _, p := range st.log.Patches()[len(base):] {
+		if err := next.applyPatch(p); err != nil {
 			return li.mgr.Seq(), fmt.Errorf("landmarkrd: rebase replay: %w", err)
 		}
 	}
@@ -464,7 +440,7 @@ func (li *LiveIndex) Pin() *LiveEpoch {
 }
 
 // LiveEpoch is a pinned, consistent serving snapshot: a materialized graph
-// with the engine and portfolio built on it, plus the patch stack streamed
+// with the engine and portfolio built on it, plus the patch log streamed
 // onto it. All query methods are safe for concurrent use.
 type LiveEpoch struct {
 	e        *epoch.Epoch[*liveState]
@@ -501,7 +477,7 @@ func (ep *LiveEpoch) Landmark() int { return ep.e.Value().engine.Landmark() }
 func (ep *LiveEpoch) Portfolio() *PortfolioIndex { return ep.e.Value().pf }
 
 // Patches returns the number of mutations applied to this epoch so far.
-func (ep *LiveEpoch) Patches() int { return ep.e.Value().patchCount() }
+func (ep *LiveEpoch) Patches() int { return ep.e.Value().log.Updates() }
 
 // PairsContext answers a batch against the epoch's materialized graph —
 // bit-identical to the same batch on a cold build of that graph.
@@ -526,16 +502,16 @@ func (ep *LiveEpoch) SingleSourceContext(ctx context.Context, s int) ([]float64,
 	return out, err
 }
 
-// FreshPairContext returns r(s, t) with the epoch's pending patches folded
-// in — the freshest consistent answer available without waiting for a
-// re-base. One grounded solve plus O(1) per patch when a portfolio exists;
-// full pseudo-inverse solves in NoIndex mode.
+// FreshPairContext returns r(s, t) on the epoch's graph with its pending
+// patches applied — the freshest consistent answer available without
+// waiting for a re-base, in every serving mode: one exact CG solve on base
+// plus log, the same answer as DynamicUpdater.Resistance. ctx is checked
+// before the solve, which then runs to completion.
 func (ep *LiveEpoch) FreshPairContext(ctx context.Context, s, t int) (float64, error) {
-	st := ep.e.Value()
-	if st.patched != nil {
-		return st.patched.PairContext(ctx, s, t)
+	if err := cancel.Check(ctx); err != nil {
+		return 0, err
 	}
-	r, err := st.upd.Resistance(s, t)
+	r, err := ep.e.Value().log.Resistance(s, t)
 	if err == nil {
 		ep.metrics.PatchedQueries.Inc()
 	}

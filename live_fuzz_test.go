@@ -4,10 +4,10 @@ package landmarkrd
 // fuzz-decoded stream of edge insertions, removals, fresh queries, and
 // explicit re-bases, mirroring every mutation into a plain edge-weight map
 // and cross-checking each query against a cold exact solve on the mirrored
-// graph. The differential oracle catches silent Sherman-Morrison drift and
-// re-base replay bugs; the structural assertions catch epoch-protocol
-// violations (non-monotone sequence numbers, patches surviving a re-base,
-// spurious disconnection errors).
+// graph. The differential oracle catches fresh-read drift and re-base
+// replay bugs; the structural assertions catch epoch-protocol violations
+// (non-monotone sequence numbers, patches surviving a re-base, spurious
+// disconnection errors).
 
 import (
 	"context"
@@ -17,8 +17,8 @@ import (
 )
 
 // liveFuzzMaxOps bounds each execution so the fuzzer measures coverage,
-// not CG patience: every add/remove costs a grounded solve and every
-// re-base a full index rebuild.
+// not CG patience: every query costs a CG solve and every re-base a full
+// index rebuild.
 const liveFuzzMaxOps = 16
 
 func FuzzEpochUpdateStream(f *testing.F) {
@@ -48,7 +48,6 @@ func FuzzEpochUpdateStream(f *testing.F) {
 			Method: BiPush,
 			Batch:  BatchOptions{Options: Options{Seed: seed}},
 			Mode:   DiagExactCG,
-			Tol:    1e-12,
 			// Explicit re-base ops only: auto triggers would make the
 			// patch-stack assertions below nondeterministic.
 			MaxPatches:       -1,

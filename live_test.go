@@ -3,12 +3,17 @@ package landmarkrd_test
 import (
 	"context"
 	"errors"
+	"hash/fnv"
 	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/dynamic"
+	"landmarkrd/internal/lap"
+	"landmarkrd/internal/oracle"
+	"landmarkrd/internal/randx"
 )
 
 func liveTestGraph(t *testing.T) *landmarkrd.Graph {
@@ -36,7 +41,7 @@ func liveTestQueries(n int) []landmarkrd.PairQuery {
 // batch answered at epoch E must bit-match the same batch against a cold
 // BatchEngine built on E's materialized graph with identical options. It
 // runs the check on the initial epoch, across streamed updates (which must
-// NOT change epoch answers — they only grow the patch stack), and after an
+// NOT change epoch answers — they only grow the patch log), and after an
 // explicit re-base onto the patched graph.
 func TestLiveDifferentialEpochs(t *testing.T) {
 	g := liveTestGraph(t)
@@ -600,5 +605,253 @@ func TestLiveLandmarksPinnedAcrossRebase(t *testing.T) {
 	// Landmarks without portfolio mode is a configuration error.
 	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{Landmarks: []int{1}}); err == nil {
 		t.Error("Landmarks without PortfolioK accepted")
+	}
+}
+
+// TestLiveRejectsOverRemoval: a removal of more conductance than a pair
+// carries — weight 2 from a unit edge, weight 1 from a non-edge — is
+// rejected with ErrExceedsConductance by the live index in both serving
+// modes and by DynamicUpdater, leaving the log as it was, so the next
+// re-base still materializes. A bridge removal keeps its own sentinel.
+func TestLiveRejectsOverRemoval(t *testing.T) {
+	g, err := landmarkrd.BarabasiAlbert(300, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edge, nonEdge [2]int
+	g.ForEachEdge(func(a, b int32, _ float64) {
+		if edge == ([2]int{}) {
+			edge = [2]int{int(a), int(b)}
+		}
+	})
+	for v := 1; v < g.N(); v++ {
+		if !g.HasEdge(0, v) {
+			nonEdge = [2]int{0, v}
+			break
+		}
+	}
+	bad := []landmarkrd.GraphUpdate{
+		{Op: landmarkrd.UpdateRemoveEdge, S: edge[0], T: edge[1], Weight: 2},
+		{Op: landmarkrd.UpdateRemoveEdge, S: nonEdge[0], T: nonEdge[1], Weight: 1},
+	}
+	ctx := context.Background()
+	for _, mode := range []struct {
+		name string
+		opts landmarkrd.LiveOptions
+	}{
+		{"portfolio", landmarkrd.LiveOptions{Method: landmarkrd.BiPush}},
+		{"noindex", landmarkrd.LiveOptions{Method: landmarkrd.BiPush, NoIndex: true}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			li, err := landmarkrd.NewLiveIndex(g, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := landmarkrd.GraphUpdate{Op: landmarkrd.UpdateAddEdge, S: 3, T: 250, Weight: 0.5}
+			if _, err := li.ApplyUpdate(ctx, add); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range bad {
+				_, err := li.ApplyUpdate(ctx, u)
+				if !errors.Is(err, landmarkrd.ErrExceedsConductance) {
+					t.Fatalf("remove %v from (%d,%d): err %v, want ErrExceedsConductance", u.Weight, u.S, u.T, err)
+				}
+				if got := li.PendingPatches(); got != 1 {
+					t.Fatalf("rejected removal changed the log: %d patches, want 1", got)
+				}
+			}
+			ep := li.Pin()
+			if _, err := ep.FreshPairContext(ctx, 3, 250); err != nil {
+				t.Fatal(err)
+			}
+			ep.Release()
+			if seq, err := li.Rebase(ctx); err != nil || seq != 2 {
+				t.Fatalf("Rebase after rejected removals = %d, %v; want epoch 2", seq, err)
+			}
+			st := li.Stats()
+			if st.LiveUpdates != 1 || st.PatchedQueries != 1 {
+				t.Errorf("LiveUpdates = %d, PatchedQueries = %d; want 1 accepted update and 1 fresh read", st.LiveUpdates, st.PatchedQueries)
+			}
+		})
+	}
+
+	t.Run("dynamic", func(t *testing.T) {
+		dyn, err := landmarkrd.NewDynamic(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range bad {
+			if err := dyn.RemoveConductance(u.S, u.T, u.Weight); !errors.Is(err, landmarkrd.ErrExceedsConductance) {
+				t.Fatalf("remove %v from (%d,%d): err %v, want ErrExceedsConductance", u.Weight, u.S, u.T, err)
+			}
+		}
+		if dyn.Updates() != 0 {
+			t.Fatalf("rejected removals left %d patches", dyn.Updates())
+		}
+		if _, err := dyn.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("bridge", func(t *testing.T) {
+		pg, _, err := landmarkrd.LoadEdgeList("testdata/corpus/path_40.edges")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b int
+		pg.ForEachEdge(func(u, v int32, _ float64) { a, b = int(u), int(v) })
+		li, err := landmarkrd.NewLiveIndex(pg, landmarkrd.LiveOptions{Method: landmarkrd.Push})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = li.ApplyUpdate(ctx, landmarkrd.GraphUpdate{Op: landmarkrd.UpdateRemoveEdge, S: a, T: b, Weight: 1})
+		if !errors.Is(err, landmarkrd.ErrDisconnecting) {
+			t.Fatalf("bridge removal err = %v, want ErrDisconnecting", err)
+		}
+		dyn, err := landmarkrd.NewDynamic(pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dyn.RemoveConductance(a, b, 1); !errors.Is(err, landmarkrd.ErrDisconnecting) {
+			t.Fatalf("DynamicUpdater bridge removal err = %v, want ErrDisconnecting", err)
+		}
+	})
+}
+
+// TestLiveUpdateStreamDifferential drives every corpus graph through a
+// seeded stream of adds, removals of added conductance, over-removals,
+// non-edge removals, half-edge removals and whole-edge removals (bridges
+// among them). The live
+// index and DynamicUpdater must accept a delta exactly when
+// MaterializeGraph of the log plus the delta succeeds and is connected,
+// reject it with the same sentinel otherwise, and answer fresh reads on
+// every accepted log within 1e-9 of a CG solve on the materialized graph.
+// A final re-base lands on that graph.
+func TestLiveUpdateStreamDifferential(t *testing.T) {
+	corpus, err := oracle.LoadCorpus("testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var rejects [2]int // over-removals, disconnections across the corpus
+	for _, cg := range corpus {
+		t.Run(cg.Name, func(t *testing.T) {
+			g := cg.G
+			li, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{
+				Method:           landmarkrd.BiPush,
+				MaxPatches:       -1,
+				MaxPatchOverhead: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dyn, err := landmarkrd.NewDynamic(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(cg.Name))
+			rng := randx.New(h.Sum64() | 1)
+			cur := g // MaterializeGraph of the accepted log
+			carried := func(a, b int) float64 {
+				for i, v := range cur.Neighbors(a) {
+					if int(v) == b {
+						return cur.EdgeWeight(a, i)
+					}
+				}
+				return 0
+			}
+			var edges [][2]int
+			g.ForEachEdge(func(a, b int32, _ float64) { edges = append(edges, [2]int{int(a), int(b)}) })
+			var added []dynamic.Patch
+			n := g.N()
+			for step := 0; step < 40; step++ {
+				var p dynamic.Patch
+				switch kind := rng.Intn(6); {
+				case kind == 1 && len(added) > 0: // remove added conductance
+					i := rng.Intn(len(added))
+					p = dynamic.Patch{A: added[i].B, B: added[i].A, W: -added[i].W}
+					added = append(added[:i], added[i+1:]...)
+				case kind == 2: // over-remove a base pair
+					e := edges[rng.Intn(len(edges))]
+					p = dynamic.Patch{A: e[0], B: e[1], W: -(carried(e[0], e[1]) + 0.5)}
+				case kind == 3: // remove from a pair that carries nothing
+					a, b := rng.Intn(n), rng.Intn(n)
+					if a == b || carried(a, b) > 0 {
+						continue
+					}
+					p = dynamic.Patch{A: a, B: b, W: -0.5}
+				case kind == 4 || kind == 5: // take a base pair out whole, or half of it
+					e := edges[rng.Intn(len(edges))]
+					if carried(e[0], e[1]) == 0 {
+						continue
+					}
+					p = dynamic.Patch{A: e[0], B: e[1], W: -carried(e[0], e[1]) / float64(kind-3)}
+				default: // add
+					a, b := rng.Intn(n), rng.Intn(n)
+					if a == b {
+						continue
+					}
+					p = dynamic.Patch{A: a, B: b, W: 0.5 + 1.5*rng.Float64()}
+				}
+				mat, merr := dynamic.MaterializeGraph(g, append(dyn.Patches(), p))
+				want := merr == nil && mat.IsConnected()
+				u := landmarkrd.GraphUpdate{Op: landmarkrd.UpdateAddEdge, S: p.A, T: p.B, Weight: p.W}
+				var derr error
+				if p.W > 0 {
+					derr = dyn.AddEdge(p.A, p.B, p.W)
+				} else {
+					u.Op, u.Weight = landmarkrd.UpdateRemoveEdge, -p.W
+					derr = dyn.RemoveConductance(p.A, p.B, -p.W)
+				}
+				_, lerr := li.ApplyUpdate(ctx, u)
+				for i, sentinel := range []error{landmarkrd.ErrExceedsConductance, landmarkrd.ErrDisconnecting} {
+					if errors.Is(lerr, sentinel) != errors.Is(derr, sentinel) {
+						t.Fatalf("step %d %+v: live err %v, dynamic err %v", step, p, lerr, derr)
+					}
+					if errors.Is(lerr, sentinel) {
+						rejects[i]++
+					}
+				}
+				if (lerr == nil) != want || (derr == nil) != want {
+					t.Fatalf("step %d %+v: live err %v, dynamic err %v; materialize ok=%v (%v)", step, p, lerr, derr, want, merr)
+				}
+				if !want {
+					continue
+				}
+				if p.W > 0 {
+					added = append(added, p)
+				}
+				cur = mat
+				ep := li.Pin()
+				for k := 0; k < 2; k++ {
+					s, tt := rng.Intn(n), rng.Intn(n)
+					if s == tt {
+						continue
+					}
+					wantR, err := lap.ResistanceCG(cur, s, tt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ep.FreshPairContext(ctx, s, tt)
+					if err != nil {
+						t.Fatalf("step %d: FreshPairContext(%d,%d): %v", step, s, tt, err)
+					}
+					if math.Abs(got-wantR) > 1e-9*wantR {
+						t.Errorf("step %d: fresh r(%d,%d) = %v, CG on materialized graph %v", step, s, tt, got, wantR)
+					}
+				}
+				ep.Release()
+			}
+			if _, err := li.Rebase(ctx); err != nil {
+				t.Fatalf("final rebase: %v", err)
+			}
+			if li.PendingPatches() > 0 || li.Fingerprint() != cur.Fingerprint() {
+				t.Fatalf("re-based graph %#x with %d patches pending, want %#x with none", li.Fingerprint(), li.PendingPatches(), cur.Fingerprint())
+			}
+		})
+	}
+	if rejects[0] == 0 || rejects[1] == 0 {
+		t.Fatalf("stream never exercised both rejections: %d over-removals, %d disconnections", rejects[0], rejects[1])
 	}
 }
