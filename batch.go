@@ -871,13 +871,14 @@ func (e *BatchEngine) pendingExact(err error) bool {
 }
 
 // exactBlockRHS bounds the pairs one grouped exact solve advances
-// together. A block solve holds about seven n-vectors per column (the
-// right-hand side, its staged copy, the solution, and four CG workspace
-// vectors), and under the exact plan nearly every pair of a batch grounds
-// at the same vertex, so an unbounded block would hold 56·n bytes per pair
-// of the batch at once. Eight columns already take the sweep-sharing gain
-// (the BlockCG k=8 benchmark in results/README.md), as in the diagonal
-// index build.
+// together. A block solve holds three n-vectors per column (the right-hand
+// side, its staged copy and the solution) beside the block solver's
+// workspace of four interleaved n-vectors per lane (2, 4 or 8 lanes, the
+// fewest that hold the block's columns), and under the exact plan nearly
+// every pair of a batch grounds at the same vertex, so an unbounded block
+// would hold 24·n bytes per pair of the batch at once. Eight columns fill
+// one interleaved block (linalg.BlockWidth), the width the diagonal index
+// build uses; a full block holds 56·n bytes per pair.
 const exactBlockRHS = 8
 
 // exactBlock is one grouped exact solve: up to exactBlockRHS result

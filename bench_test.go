@@ -414,6 +414,27 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchPortfolioBuild builds the K=4 DiagSketch portfolio, seed
+// 1, of the BA(5000,4) graph cmd/rdload serves: the column build every
+// fleet process runs before it reports ready. Workers is left at 0, so at
+// -cpu 1 one worker solves every row block and its Laplacian sweeps stay
+// sequential.
+func BenchmarkSketchPortfolioBuild(b *testing.B) {
+	g, err := landmarkrd.BarabasiAlbert(5000, 4, 2023)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
+			K: 4, Mode: landmarkrd.DiagSketch, Seed: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildPortfolio measures K-landmark portfolio construction in
 // each DiagMode at K=4 (the default). Workers is left at 0, so -cpu 1,4
 // compares sequential and parallel column builds; for a fixed seed both

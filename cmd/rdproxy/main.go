@@ -117,8 +117,8 @@ func run(graphPath, addr string, drain time.Duration, debugAddr string, cfg prox
 		return err
 	}
 	st := p.state.Load()
-	fmt.Fprintf(os.Stderr, "rdproxy: fleet portfolio k=%d over %d replicas, graph version %#x\n",
-		st.pf.K(), len(p.replicas), st.fp)
+	fmt.Fprintf(os.Stderr, "rdproxy: fleet portfolio k=%d over %d replicas, graph version %#x, %s\n",
+		st.pf.K(), len(p.replicas), st.fp, st.resolved)
 	for _, r := range p.replicas {
 		fmt.Fprintf(os.Stderr, "rdproxy:   %s owns positions %v\n", r.name, st.router.Owners()[r.name])
 	}

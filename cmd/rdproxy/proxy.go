@@ -106,6 +106,9 @@ type proxyState struct {
 	pf     *landmarkrd.PortfolioIndex
 	router *cluster.Router
 	fp     uint64
+	// resolved says how pf was resolved, for the start-up log:
+	// "loaded from <snapshot>" or "built in <duration>".
+	resolved string
 }
 
 // replica is one backend rdserver plus its health bit, flipped by the
@@ -206,6 +209,7 @@ func (p *proxyServer) buildState() (*proxyState, error) {
 		return nil, fmt.Errorf("rdproxy: loading graph: %w", err)
 	}
 	var pf *landmarkrd.PortfolioIndex
+	resolved := "loaded from " + p.cfg.snapshot
 	if p.cfg.snapshot != "" {
 		pf, err = landmarkrd.LoadPortfolioIndex(p.cfg.snapshot, g)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -213,6 +217,7 @@ func (p *proxyServer) buildState() (*proxyState, error) {
 		}
 	}
 	if pf == nil {
+		start := time.Now()
 		mode, ok := map[string]landmarkrd.DiagMode{
 			"exact": landmarkrd.DiagExactCG, "mc": landmarkrd.DiagMC, "sketch": landmarkrd.DiagSketch,
 		}[p.cfg.indexMode]
@@ -229,13 +234,14 @@ func (p *proxyServer) buildState() (*proxyState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rdproxy: building fleet portfolio: %w", err)
 		}
+		resolved = fmt.Sprintf("built in %v", time.Since(start))
 	}
 	router, err := cluster.NewRouter(p.cfg.replicas, pf.K(), p.cfg.vnodes,
 		func(j, s, t int) float64 { return pf.RouteCost(j, s, t) })
 	if err != nil {
 		return nil, err
 	}
-	return &proxyState{g: g, pf: pf, router: router, fp: g.Fingerprint()}, nil
+	return &proxyState{g: g, pf: pf, router: router, fp: g.Fingerprint(), resolved: resolved}, nil
 }
 
 // reload is the SIGHUP rollout: re-read the graph (and snapshot, if

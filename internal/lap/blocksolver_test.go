@@ -29,41 +29,78 @@ func blockTestGraphs(t *testing.T) map[string]*graph.Graph {
 	return map[string]*graph.Graph{"ba": ba, "grid_w": grid, "path": p}
 }
 
-// TestGroundedApplyBlockMatchesApply: the fused block sweep must be bitwise
-// identical, column by column, to k single Apply sweeps — in both the
-// sequential and row-parallel regimes.
+// applyInterleaved applies op to the columns xs through ApplyBlock, eight
+// columns to an interleaved block, each block swept over the fewest lanes
+// (2, 4 or 8) that hold its columns, with entry i of lane c at i·lanes + c;
+// spare lanes among those hold random values, which no column may see. It
+// fails the test if ApplyBlock changes its input.
+func applyInterleaved(t *testing.T, op linalg.BlockOperator, xs [][]float64, rng *randx.RNG) [][]float64 {
+	t.Helper()
+	const bw = linalg.BlockWidth
+	n := op.Dim()
+	out := make([][]float64, len(xs))
+	for lo := 0; lo < len(xs); lo += bw {
+		lanes := bw
+		if cols := min(bw, len(xs)-lo); cols <= 2 {
+			lanes = 2
+		} else if cols <= 4 {
+			lanes = 4
+		}
+		x := make([]float64, lanes*n)
+		for c := 0; c < lanes; c++ {
+			col := randVec(n, rng)
+			if lo+c < len(xs) {
+				col = xs[lo+c]
+			}
+			for i, v := range col {
+				x[i*lanes+c] = v
+			}
+		}
+		orig := append([]float64(nil), x...)
+		dst := make([]float64, lanes*n)
+		op.ApplyBlock(dst, x, lanes)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("ApplyBlock mutated its input at %d", i)
+			}
+		}
+		for c := 0; lo+c < len(xs) && c < lanes; c++ {
+			out[lo+c] = make([]float64, n)
+			for i := range out[lo+c] {
+				out[lo+c][i] = dst[i*lanes+c]
+			}
+		}
+	}
+	return out
+}
+
+// TestGroundedApplyBlockMatchesApply: the interleaved block sweep must be
+// bitwise identical, column by column, to k single Apply sweeps for every
+// column count 1…9 (a full block, partial blocks, and one past a block),
+// in both the sequential and row-parallel regimes.
 func TestGroundedApplyBlockMatchesApply(t *testing.T) {
 	for name, g := range blockTestGraphs(t) {
 		for _, noParallel := range []bool{true, false} {
 			l := Grounded{G: g, Landmark: 0, NoParallel: noParallel}
 			rng := randx.New(31)
 			n := g.N()
-			for _, k := range []int{1, 2, 5} {
+			for k := 1; k <= 9; k++ {
 				x := make([][]float64, k)
-				dst := make([][]float64, k)
 				ref := make([][]float64, k)
 				for c := range x {
 					x[c] = make([]float64, n)
 					for i := range x[c] {
 						x[c][i] = rng.NormFloat64()
 					}
-					dst[c] = make([]float64, n)
 					ref[c] = make([]float64, n)
 					l.Apply(ref[c], x[c])
 				}
-				xOrig := make([][]float64, k)
-				for c := range x {
-					xOrig[c] = append([]float64(nil), x[c]...)
-				}
-				l.ApplyBlock(dst, x)
+				dst := applyInterleaved(t, &l, x, rng)
 				for c := 0; c < k; c++ {
 					for i := 0; i < n; i++ {
-						if dst[c][i] != ref[c][i] {
+						if math.Float64bits(dst[c][i]) != math.Float64bits(ref[c][i]) {
 							t.Fatalf("%s noParallel=%v k=%d: dst[%d][%d] = %v, want %v",
 								name, noParallel, k, c, i, dst[c][i], ref[c][i])
-						}
-						if x[c][i] != xOrig[c][i] {
-							t.Fatalf("%s: ApplyBlock mutated its input at [%d][%d]", name, c, i)
 						}
 					}
 				}
@@ -234,10 +271,10 @@ func reweighted(t *testing.T, g *graph.Graph, rng *randx.RNG) *graph.Graph {
 }
 
 // TestLaplacianApplyBlockMatchesApply: the Laplacian block apply must be
-// bitwise identical, column by column, to a sequential Apply for every block
-// width 1…9 (so every 8/4/2/1 chunk remainder), on unweighted and weighted
-// graphs, with and without NoParallel. The 20000-vertex graphs clear the
-// row-parallel threshold at every width.
+// bitwise identical, column by column, to a sequential Apply for every
+// column count 1…9 (partial blocks, a full one, and one past it), on
+// unweighted and weighted graphs, with and without NoParallel. The
+// 20000-vertex graphs clear the row-parallel threshold.
 func TestLaplacianApplyBlockMatchesApply(t *testing.T) {
 	small := testGraphs(t)
 	big, err := graph.BarabasiAlbert(20000, 3, randx.New(48))
@@ -256,15 +293,13 @@ func TestLaplacianApplyBlockMatchesApply(t *testing.T) {
 			l := &Laplacian{G: g, NoParallel: noParallel}
 			for k := 1; k <= 9; k++ {
 				x := make([][]float64, k)
-				dst := make([][]float64, k)
 				ref := make([][]float64, k)
 				for c := range x {
 					x[c] = randVec(n, rng)
-					dst[c] = make([]float64, n)
 					ref[c] = make([]float64, n)
 					seq.Apply(ref[c], x[c])
 				}
-				l.ApplyBlock(dst, x)
+				dst := applyInterleaved(t, l, x, rng)
 				for c := range dst {
 					for i := range dst[c] {
 						if math.Float64bits(dst[c][i]) != math.Float64bits(ref[c][i]) {

@@ -80,7 +80,9 @@ func GroundVertex(g *graph.Graph, s, t int) int { return pickGround(g, s, t) }
 // ground, and s != t), using one block CG solve — one operator sweep per
 // iteration across all pairs instead of one solve per pair. Every returned
 // value is bit-for-bit what ResistanceCGContext would produce for that pair.
-// The solve holds about seven n-vectors per pair at once, so callers bound
+// The solve holds three n-vectors per pair at once (the right-hand side,
+// the solver's staged copy and the solution) beside the block solver's
+// four interleaved n-vectors per lane (at most 4·8), so callers bound
 // len(pairs).
 //
 // errs[i] carries a per-pair failure (invalid vertex, breakdown,

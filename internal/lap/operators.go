@@ -30,13 +30,13 @@ func (l *Laplacian) Dim() int { return l.G.N() }
 // Apply computes dst = L x. dst and x must not alias.
 func (l *Laplacian) Apply(dst, x []float64) { applyLaplacian(l.G, l.NoParallel, dst, x) }
 
-// ApplyBlock computes dst[c] = L x[c] for every column c through the
-// unrolled multi-column kernels of laplacianSweepBlock; per column the
-// accumulation order is laplacianSweep's, so every column's result is
-// bit-for-bit what Apply would have produced. It implements
-// linalg.BlockOperator.
-func (l *Laplacian) ApplyBlock(dst, x [][]float64) {
-	applyLaplacianBlock(l.G, l.NoParallel, dst, x)
+// ApplyBlock computes dst = L·x for an interleaved block of lanes columns
+// (entry i of column c at i·lanes + c; see linalg.BlockOperator) in one
+// sweep over the CSR structure; per column the accumulation order is
+// laplacianSweep's, so every column's result is bit-for-bit what Apply
+// would have produced. It implements linalg.BlockOperator.
+func (l *Laplacian) ApplyBlock(dst, x []float64, lanes int) {
+	applyLaplacianBlock(l.G, l.NoParallel, dst, x, lanes)
 }
 
 // applyLaplacian computes dst = L x over g, row-parallel above the size
@@ -55,21 +55,35 @@ func applyLaplacian(g *graph.Graph, noParallel bool, dst, x []float64) {
 	laplacianSweep(dst, x, offsets, adj, w, deg, 0, n)
 }
 
-// applyLaplacianBlock is applyLaplacian for several columns at once, the
-// sweep behind Laplacian.ApplyBlock and Grounded.ApplyBlock. Each row block
-// of the parallel split runs every column, so the parallel threshold counts
+// applyLaplacianBlock is applyLaplacian for an interleaved block of lanes
+// columns, the sweep behind Laplacian.ApplyBlock and Grounded.ApplyBlock:
+// it runs the laplacianSweepBlock instantiation for lanes.
+func applyLaplacianBlock(g *graph.Graph, noParallel bool, dst, x []float64, lanes int) {
+	switch lanes {
+	case 2:
+		applyLanes[[2]float64](g, noParallel, dst, x)
+	case 4:
+		applyLanes[[4]float64](g, noParallel, dst, x)
+	default:
+		applyLanes[[linalg.BlockWidth]float64](g, noParallel, dst, x)
+	}
+}
+
+// applyLanes sweeps an interleaved block of len(L) lanes. Each row block
+// of the parallel split runs every lane, so the parallel threshold counts
 // the block's total work.
-func applyLaplacianBlock(g *graph.Graph, noParallel bool, dst, x [][]float64) {
+func applyLanes[L linalg.Lanes](g *graph.Graph, noParallel bool, dst, x []float64) {
+	var row L
 	n := g.N()
 	offsets, adj, w := g.RawCSR()
 	deg := g.WeightedDegrees()
-	if !noParallel && parallelApplyWorthwhile(n, len(adj)*len(x)) {
+	if !noParallel && parallelApplyWorthwhile(n, len(adj)*len(row)) {
 		parallelRows(n, offsets, func(lo, hi int) {
-			laplacianSweepBlock(dst, x, offsets, adj, w, deg, lo, hi)
+			laplacianSweepBlock[L](dst, x, offsets, adj, w, deg, lo, hi)
 		})
 		return
 	}
-	laplacianSweepBlock(dst, x, offsets, adj, w, deg, 0, n)
+	laplacianSweepBlock[L](dst, x, offsets, adj, w, deg, 0, n)
 }
 
 // laplacianSweep computes dst[u] = deg[u]·x[u] − Σ_{(u,v)} w·x[v] for rows
@@ -142,156 +156,117 @@ func (l *Grounded) Apply(dst, x []float64) {
 	dst[v] = 0
 }
 
-// ApplyBlock computes dst[c] = L_v x[c] for every column c with edge-
-// balanced sweeps over the CSR structure that amortize each row's offsets,
-// adjacency and weights across several columns at once. Columns are
-// dispatched to unrolled kernels in chunks of 8, 4 and 2 whose accumulators
-// live in registers; per column the accumulation order is exactly
-// laplacianSweep's, so every column's result is bit-for-bit what Apply would
-// have produced. It implements linalg.BlockOperator. x is mutated (the
-// landmark entries are zeroed for the sweep) but restored before returning.
-func (l *Grounded) ApplyBlock(dst, x [][]float64) {
-	k := len(x)
-	if k == 1 {
-		l.Apply(dst[0], x[0])
+// ApplyBlock computes dst = L_v·x for an interleaved block of lanes
+// columns through laplacianSweepBlock, with row v of x zeroed for the
+// sweep as in Apply; per column the result is bit-for-bit what Apply would
+// have produced. It implements linalg.BlockOperator. x is mutated (row v
+// is zeroed for the sweep) but restored before returning.
+func (l *Grounded) ApplyBlock(dst, x []float64, lanes int) {
+	o := l.Landmark * lanes
+	row := x[o : o+lanes]
+	var saved [linalg.BlockWidth]float64
+	copy(saved[:], row)
+	clear(row)
+	applyLaplacianBlock(l.G, l.NoParallel, dst, x, lanes)
+	copy(row, saved[:])
+	clear(dst[o : o+lanes])
+}
+
+// laplacianSweepBlock is laplacianSweep over rows [lo, hi) of an
+// interleaved block of len(L) lanes: each neighbour's entries come from
+// one cache line, and the accumulators are scalar locals (registers). The
+// lane count is a constant in each instantiation, so its tests compile
+// away. A neighbour's row is read in slices of at most four entries: the
+// second slice's bounds check keeps the eight-lane loop from loading all
+// eight entries before it subtracts any, which would spill an accumulator
+// to the stack. As in laplacianSweep, the unweighted case has its own row
+// loop.
+func laplacianSweepBlock[L linalg.Lanes](dst, x []float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
+	if w != nil {
+		weightedSweepBlock[L](dst, x, offsets, adj, w, deg, lo, hi)
 		return
 	}
-	v := l.Landmark
-	saved := make([]float64, k)
-	for c, xc := range x {
-		saved[c] = xc[v]
-		xc[v] = 0
-	}
-	applyLaplacianBlock(l.G, l.NoParallel, dst, x)
-	for c, xc := range x {
-		xc[v] = saved[c]
-		dst[c][v] = 0
-	}
-}
-
-// laplacianSweepBlock sweeps rows [lo, hi) for every column, peeling the
-// columns into unrolled chunks: 8-wide and 4-wide kernels whose per-column
-// accumulators are scalar locals (registers), then a 2-wide kernel, then the
-// plain single-column sweep for a final odd column. Each chunk re-traverses
-// the adjacency, so the amortization factor is the chunk width — still far
-// cheaper than one traversal per column, without the cache-hostile k-way
-// indirection of a fully generic inner loop.
-func laplacianSweepBlock(dst, x [][]float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
-	for len(x) >= 8 {
-		laplacianSweepBlock8(dst, x, offsets, adj, w, deg, lo, hi)
-		dst, x = dst[8:], x[8:]
-	}
-	if len(x) >= 4 {
-		laplacianSweepBlock4(dst, x, offsets, adj, w, deg, lo, hi)
-		dst, x = dst[4:], x[4:]
-	}
-	if len(x) >= 2 {
-		laplacianSweepBlock2(dst[0], dst[1], x[0], x[1], offsets, adj, w, deg, lo, hi)
-		dst, x = dst[2:], x[2:]
-	}
-	if len(x) == 1 {
-		laplacianSweep(dst[0], x[0], offsets, adj, w, deg, lo, hi)
-	}
-}
-
-func laplacianSweepBlock2(dst0, dst1, x0, x1 []float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
+	var row L
+	lanes := len(row)
+	quad := min(lanes, 4)
 	for u := lo; u < hi; u++ {
-		du := deg[u]
-		a0 := du * x0[u]
-		a1 := du * x1[u]
-		b, e := offsets[u], offsets[u+1]
-		row := adj[b:e]
-		if w == nil {
-			for _, v := range row {
-				a0 -= x0[v]
-				a1 -= x1[v]
+		o := u * lanes
+		a0, a1, a2, a3, a4, a5, a6, a7 := rowStart(x[o:o+lanes:o+lanes], deg[u])
+		for _, v := range adj[offsets[u]:offsets[u+1]] {
+			ov := int(v) * lanes
+			xv := x[ov : ov+quad : ov+quad]
+			a0 -= xv[0]
+			a1 -= xv[1]
+			if lanes > 2 {
+				a2 -= xv[2]
+				a3 -= xv[3]
 			}
-		} else {
-			wts := w[b:e:e]
-			for j, v := range row {
-				wv := wts[j]
-				a0 -= wv * x0[v]
-				a1 -= wv * x1[v]
+			if lanes > 4 {
+				xv := x[ov+4 : ov+8 : ov+8]
+				a4 -= xv[0]
+				a5 -= xv[1]
+				a6 -= xv[2]
+				a7 -= xv[3]
 			}
 		}
-		dst0[u] = a0
-		dst1[u] = a1
+		rowStore(dst[o:o+lanes:o+lanes], a0, a1, a2, a3, a4, a5, a6, a7)
 	}
 }
 
-func laplacianSweepBlock4(dst, x [][]float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
-	dst0, dst1, dst2, dst3 := dst[0], dst[1], dst[2], dst[3]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+// weightedSweepBlock is laplacianSweepBlock's row loop for a weighted
+// graph.
+func weightedSweepBlock[L linalg.Lanes](dst, x []float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
+	var row L
+	lanes := len(row)
+	quad := min(lanes, 4)
 	for u := lo; u < hi; u++ {
-		du := deg[u]
-		a0 := du * x0[u]
-		a1 := du * x1[u]
-		a2 := du * x2[u]
-		a3 := du * x3[u]
+		o := u * lanes
+		a0, a1, a2, a3, a4, a5, a6, a7 := rowStart(x[o:o+lanes:o+lanes], deg[u])
 		b, e := offsets[u], offsets[u+1]
-		row := adj[b:e]
-		if w == nil {
-			for _, v := range row {
-				a0 -= x0[v]
-				a1 -= x1[v]
-				a2 -= x2[v]
-				a3 -= x3[v]
+		wts := w[b:e:e]
+		for j, v := range adj[b:e] {
+			wv := wts[j]
+			ov := int(v) * lanes
+			xv := x[ov : ov+quad : ov+quad]
+			a0 -= wv * xv[0]
+			a1 -= wv * xv[1]
+			if lanes > 2 {
+				a2 -= wv * xv[2]
+				a3 -= wv * xv[3]
 			}
-		} else {
-			wts := w[b:e:e]
-			for j, v := range row {
-				wv := wts[j]
-				a0 -= wv * x0[v]
-				a1 -= wv * x1[v]
-				a2 -= wv * x2[v]
-				a3 -= wv * x3[v]
+			if lanes > 4 {
+				xv := x[ov+4 : ov+8 : ov+8]
+				a4 -= wv * xv[0]
+				a5 -= wv * xv[1]
+				a6 -= wv * xv[2]
+				a7 -= wv * xv[3]
 			}
 		}
-		dst0[u] = a0
-		dst1[u] = a1
-		dst2[u] = a2
-		dst3[u] = a3
+		rowStore(dst[o:o+lanes:o+lanes], a0, a1, a2, a3, a4, a5, a6, a7)
 	}
 }
 
-func laplacianSweepBlock8(dst, x [][]float64, offsets []int64, adj []int32, w, deg []float64, lo, hi int) {
-	dst0, dst1, dst2, dst3 := dst[0], dst[1], dst[2], dst[3]
-	dst4, dst5, dst6, dst7 := dst[4], dst[5], dst[6], dst[7]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	x4, x5, x6, x7 := x[4], x[5], x[6], x[7]
-	for u := lo; u < hi; u++ {
-		du := deg[u]
-		a0, a1, a2, a3 := du*x0[u], du*x1[u], du*x2[u], du*x3[u]
-		a4, a5, a6, a7 := du*x4[u], du*x5[u], du*x6[u], du*x7[u]
-		b, e := offsets[u], offsets[u+1]
-		row := adj[b:e]
-		if w == nil {
-			for _, v := range row {
-				a0 -= x0[v]
-				a1 -= x1[v]
-				a2 -= x2[v]
-				a3 -= x3[v]
-				a4 -= x4[v]
-				a5 -= x5[v]
-				a6 -= x6[v]
-				a7 -= x7[v]
-			}
-		} else {
-			wts := w[b:e:e]
-			for j, v := range row {
-				wv := wts[j]
-				a0 -= wv * x0[v]
-				a1 -= wv * x1[v]
-				a2 -= wv * x2[v]
-				a3 -= wv * x3[v]
-				a4 -= wv * x4[v]
-				a5 -= wv * x5[v]
-				a6 -= wv * x6[v]
-				a7 -= wv * x7[v]
-			}
+// rowStart returns a row's accumulators deg·x, one per entry of xu (2, 4
+// or 8), and zero for the rest.
+func rowStart(xu []float64, du float64) (a0, a1, a2, a3, a4, a5, a6, a7 float64) {
+	a0, a1 = du*xu[0], du*xu[1]
+	if len(xu) > 2 {
+		a2, a3 = du*xu[2], du*xu[3]
+		if len(xu) > 4 {
+			a4, a5, a6, a7 = du*xu[4], du*xu[5], du*xu[6], du*xu[7]
 		}
-		dst0[u], dst1[u], dst2[u], dst3[u] = a0, a1, a2, a3
-		dst4[u], dst5[u], dst6[u], dst7[u] = a4, a5, a6, a7
+	}
+	return
+}
+
+// rowStore writes a row's accumulators, one per entry of d (2, 4 or 8).
+func rowStore(d []float64, a0, a1, a2, a3, a4, a5, a6, a7 float64) {
+	d[0], d[1] = a0, a1
+	if len(d) > 2 {
+		d[2], d[3] = a2, a3
+		if len(d) > 4 {
+			d[4], d[5], d[6], d[7] = a4, a5, a6, a7
+		}
 	}
 }
 

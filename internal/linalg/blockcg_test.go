@@ -2,36 +2,108 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"landmarkrd/internal/randx"
 )
 
-// blockDenseOp wraps Dense as a BlockOperator so the fused-apply path is
-// exercised: ApplyBlock applies the matrix column by column, which keeps the
-// per-column floating-point sequence identical to Apply.
+// blockDenseOp wraps Dense as a BlockOperator: ApplyBlock gathers each
+// lane of the interleaved block, applies the matrix to it and scatters the
+// product back, which keeps the per-column floating-point sequence
+// identical to Apply.
 type blockDenseOp struct{ m *Dense }
 
 func (o blockDenseOp) Dim() int               { return o.m.Rows }
 func (o blockDenseOp) Apply(dst, x []float64) { o.m.MulVec(dst, x) }
-func (o blockDenseOp) ApplyBlock(dst, x [][]float64) {
-	for c := range x {
-		o.m.MulVec(dst[c], x[c])
+func (o blockDenseOp) ApplyBlock(dst, x []float64, lanes int) {
+	n := o.m.Rows
+	col, out := make([]float64, n), make([]float64, n)
+	for c := 0; c < lanes; c++ {
+		gatherLane(col, x, c, lanes)
+		o.m.MulVec(out, col)
+		scatterLane(dst, out, c, lanes)
 	}
 }
 func (o blockDenseOp) Diagonal() []float64 { return denseOp{o.m}.Diagonal() }
 
+// densePrecond is an SPD preconditioner BlockCG cannot fuse, so it runs
+// column by column through the gather path.
+type densePrecond struct{ m *Dense }
+
+func (p densePrecond) Precondition(dst, x []float64) { p.m.MulVec(dst, x) }
+
+// blockPreconds names the preconditioners every bitwise test runs under:
+// the default (Jacobi from the diagonal), the identity, both fused, and a
+// dense SPD one applied per column.
+func blockPreconds(n int, rng *randx.RNG) map[string]Preconditioner {
+	return map[string]Preconditioner{
+		"jacobi":   nil,
+		"identity": IdentityPreconditioner{},
+		"dense":    densePrecond{randomSPD(n, rng)},
+	}
+}
+
+// checkBlockMatchesCG runs BlockCG over the columns b from the starting
+// guesses start and fails unless every column and its independent CG
+// reference solve without error and agree bit for bit in solution,
+// iteration count, residual and convergence flag.
+func checkBlockMatchesCG(t *testing.T, name string, m *Dense, b, start [][]float64, opts CGOptions) []CGResult {
+	t.Helper()
+	k, n := len(b), m.Rows
+	refX := make([][]float64, k)
+	refRes := make([]CGResult, k)
+	refErr := make([]error, k)
+	for c := range b {
+		refX[c] = make([]float64, n)
+		if start != nil {
+			copy(refX[c], start[c])
+		}
+		refRes[c], refErr[c] = CG(denseOp{m}, refX[c], b[c], opts)
+	}
+	x := make([][]float64, k)
+	for c := range x {
+		x[c] = make([]float64, n)
+		if start != nil {
+			copy(x[c], start[c])
+		}
+	}
+	results, colErrs, err := BlockCG(blockDenseOp{m}, x, b, BlockCGOptions{
+		Tol: opts.Tol, MaxIter: opts.MaxIter, Precond: opts.Precond, ProjectConstant: opts.ProjectConstant,
+	})
+	if err != nil {
+		t.Fatalf("%s: BlockCG: %v", name, err)
+	}
+	for c := 0; c < k; c++ {
+		if refErr[c] != nil {
+			t.Fatalf("%s col %d: reference CG: %v", name, c, refErr[c])
+		}
+		if colErrs[c] != nil {
+			t.Fatalf("%s col %d: %v", name, c, colErrs[c])
+		}
+		if results[c] != refRes[c] {
+			t.Fatalf("%s col %d: result %+v, want %+v", name, c, results[c], refRes[c])
+		}
+		for i := range x[c] {
+			if math.Float64bits(x[c][i]) != math.Float64bits(refX[c][i]) {
+				t.Fatalf("%s col %d row %d: %v != %v (bitwise)", name, c, i, x[c][i], refX[c][i])
+			}
+		}
+	}
+	return refRes
+}
+
 // TestBlockCGMatchesSingleCG is the satellite conformance test: BlockCG over
-// k right-hand sides must reproduce k independent CG solves bit for bit —
-// same solutions, iteration counts, residuals, and convergence flags — for
-// both the per-column Apply path (plain Operator) and the fused ApplyBlock
-// path (BlockOperator).
+// k right-hand sides, k = 1…12 so every lane width and a solve spanning two
+// blocks run, must reproduce k independent CG solves bit for bit — same
+// solutions, iteration counts, residuals, and convergence flags — under
+// every preconditioner kind.
 func TestBlockCGMatchesSingleCG(t *testing.T) {
 	rng := randx.New(21)
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(25)
-		k := 1 + rng.Intn(6)
+		k := 1 + trial
 		spd := randomSPD(n, rng)
 		b := make([][]float64, k)
 		for c := range b {
@@ -40,99 +112,44 @@ func TestBlockCGMatchesSingleCG(t *testing.T) {
 				b[c][i] = rng.NormFloat64()
 			}
 		}
-		// Reference: k independent single-column solves.
-		refX := make([][]float64, k)
-		refRes := make([]CGResult, k)
-		for c := range b {
-			refX[c] = make([]float64, n)
-			res, err := CG(denseOp{spd}, refX[c], b[c], CGOptions{Tol: 1e-12})
-			if err != nil {
-				t.Fatalf("trial %d: reference CG col %d: %v", trial, c, err)
-			}
-			refRes[c] = res
-		}
-		for _, fused := range []bool{false, true} {
-			var op Operator = denseOp{spd}
-			if fused {
-				op = blockDenseOp{spd}
-			}
-			x := make([][]float64, k)
-			for c := range x {
-				x[c] = make([]float64, n)
-			}
-			results, colErrs, err := BlockCG(op, x, b, BlockCGOptions{Tol: 1e-12})
-			if err != nil {
-				t.Fatalf("trial %d fused=%v: BlockCG: %v", trial, fused, err)
-			}
-			for c := 0; c < k; c++ {
-				if colErrs[c] != nil {
-					t.Fatalf("trial %d fused=%v col %d: %v", trial, fused, c, colErrs[c])
-				}
-				if results[c].Iterations != refRes[c].Iterations ||
-					results[c].Converged != refRes[c].Converged ||
-					results[c].Residual != refRes[c].Residual {
-					t.Fatalf("trial %d fused=%v col %d: result %+v, want %+v",
-						trial, fused, c, results[c], refRes[c])
-				}
-				for i := range x[c] {
-					if x[c][i] != refX[c][i] {
-						t.Fatalf("trial %d fused=%v col %d row %d: %v != %v (bitwise)",
-							trial, fused, c, i, x[c][i], refX[c][i])
-					}
-				}
-			}
+		for name, pc := range blockPreconds(n, rng) {
+			checkBlockMatchesCG(t, fmt.Sprintf("trial %d k=%d %s", trial, k, name), spd, b, nil, CGOptions{Tol: 1e-12, Precond: pc})
 		}
 	}
 }
 
 // TestBlockCGStaggeredConvergence forces columns to converge at different
-// iteration counts (an easy rhs next to hard ones) and checks the frozen
-// columns still match their independent solves exactly.
+// iteration counts (a zero rhs and a tiny one next to dense ones, twelve
+// columns in all) and checks the frozen columns still match their
+// independent solves exactly.
 func TestBlockCGStaggeredConvergence(t *testing.T) {
 	rng := randx.New(22)
 	n := 30
 	spd := randomSPD(n, rng)
-	b := make([][]float64, 3)
-	// Column 0: zero rhs — converges at iteration 0.
-	b[0] = make([]float64, n)
-	// Column 1: e_0 scaled tiny.
-	b[1] = make([]float64, n)
-	b[1][0] = 1e-8
-	// Column 2: dense random rhs.
-	b[2] = make([]float64, n)
-	for i := range b[2] {
-		b[2][i] = rng.NormFloat64()
-	}
-	x := make([][]float64, 3)
-	refX := make([][]float64, 3)
-	refRes := make([]CGResult, 3)
+	const k = 12
+	b := make([][]float64, k)
 	for c := range b {
-		x[c] = make([]float64, n)
-		refX[c] = make([]float64, n)
-		res, err := CG(denseOp{spd}, refX[c], b[c], CGOptions{Tol: 1e-10})
-		if err != nil {
-			t.Fatalf("reference col %d: %v", c, err)
-		}
-		refRes[c] = res
+		b[c] = make([]float64, n)
 	}
-	results, colErrs, err := BlockCG(blockDenseOp{spd}, x, b, BlockCGOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refRes[0].Iterations == refRes[2].Iterations {
-		t.Fatal("test is vacuous: all columns converge at the same iteration")
-	}
-	for c := range b {
-		if colErrs[c] != nil {
-			t.Fatalf("col %d: %v", c, colErrs[c])
-		}
-		if results[c].Iterations != refRes[c].Iterations {
-			t.Errorf("col %d iterations = %d, want %d", c, results[c].Iterations, refRes[c].Iterations)
-		}
-		for i := range x[c] {
-			if x[c][i] != refX[c][i] {
-				t.Fatalf("col %d row %d: %v != %v", c, i, x[c][i], refX[c][i])
+	// Columns 0 and 9: zero rhs — converge at iteration 0.
+	// Columns 1 and 10: e_0 scaled tiny. The rest: dense random rhs,
+	// two of them as sparse as one row.
+	b[1][0], b[10][0] = 1e-8, 1e-8
+	for _, c := range []int{2, 3, 4, 5, 6, 7, 8, 11} {
+		for i := range b[c] {
+			if c != 5 && c != 11 || i == c {
+				b[c][i] = rng.NormFloat64()
 			}
+		}
+	}
+	for name, pc := range blockPreconds(n, rng) {
+		res := checkBlockMatchesCG(t, name, spd, b, nil, CGOptions{Tol: 1e-10, Precond: pc})
+		iters := map[int]bool{}
+		for _, r := range res {
+			iters[r.Iterations] = true
+		}
+		if len(iters) < 3 {
+			t.Fatalf("%s: test is vacuous: iteration counts %v", name, iters)
 		}
 	}
 }
@@ -141,23 +158,25 @@ func TestBlockCGDimensionMismatch(t *testing.T) {
 	spd := randomSPD(5, randx.New(23))
 	good := [][]float64{make([]float64, 5)}
 	bad := [][]float64{make([]float64, 4)}
-	if _, _, err := BlockCG(denseOp{spd}, bad, good, BlockCGOptions{}); err == nil {
+	op := blockDenseOp{spd}
+	if _, _, err := BlockCG(op, bad, good, BlockCGOptions{}); err == nil {
 		t.Error("short solution column accepted")
 	}
-	if _, _, err := BlockCG(denseOp{spd}, good, bad, BlockCGOptions{}); err == nil {
+	if _, _, err := BlockCG(op, good, bad, BlockCGOptions{}); err == nil {
 		t.Error("short rhs column accepted")
 	}
-	if _, _, err := BlockCG(denseOp{spd}, good, [][]float64{make([]float64, 5), make([]float64, 5)}, BlockCGOptions{}); err == nil {
+	if _, _, err := BlockCG(op, good, [][]float64{make([]float64, 5), make([]float64, 5)}, BlockCGOptions{}); err == nil {
 		t.Error("mismatched column counts accepted")
 	}
-	if res, colErrs, err := BlockCG(denseOp{spd}, nil, nil, BlockCGOptions{}); err != nil || len(res) != 0 || len(colErrs) != 0 {
+	if res, colErrs, err := BlockCG(op, nil, nil, BlockCGOptions{}); err != nil || len(res) != 0 || len(colErrs) != 0 {
 		t.Errorf("empty block solve: %v %v %v", res, colErrs, err)
 	}
 }
 
 // TestBlockCGBreakdownIsolated checks a breakdown poisons only its own
 // column: the indefinite system's column reports ErrCGBreakdown (or fails to
-// converge) while the SPD columns alongside it still solve exactly.
+// converge) while the SPD columns alongside it in a 2-lane and a 4-lane
+// block still solve exactly.
 func TestBlockCGBreakdownIsolated(t *testing.T) {
 	// Block-diagonal operator: rows 0-1 are an indefinite 2x2, rows 2+ SPD.
 	rng := randx.New(24)
@@ -173,31 +192,40 @@ func TestBlockCGBreakdownIsolated(t *testing.T) {
 			m.Set(i+2, j+2, spd.At(i, j))
 		}
 	}
-	b := make([][]float64, 2)
-	b[0] = make([]float64, n)
-	b[0][0], b[0][1] = 1, 1 // lives in the indefinite block
-	b[1] = make([]float64, n)
-	for i := 2; i < n; i++ {
-		b[1][i] = rng.NormFloat64()
-	}
-	x := [][]float64{make([]float64, n), make([]float64, n)}
-	results, colErrs, err := BlockCG(denseOp{m}, x, b, BlockCGOptions{Tol: 1e-12, MaxIter: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if colErrs[0] == nil && !results[0].Converged {
-		t.Error("indefinite column reported neither an error nor convergence")
-	}
-	if colErrs[1] != nil {
-		t.Fatalf("SPD column poisoned by sibling breakdown: %v", colErrs[1])
-	}
-	ref := make([]float64, n)
-	if _, err := CG(denseOp{m}, ref, b[1], CGOptions{Tol: 1e-12, MaxIter: 50}); err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	for i := range ref {
-		if x[1][i] != ref[i] {
-			t.Fatalf("SPD column diverged from independent solve at %d: %v != %v", i, x[1][i], ref[i])
+	for _, k := range []int{2, 4} {
+		b := make([][]float64, k)
+		b[0] = make([]float64, n)
+		b[0][0], b[0][1] = 1, 1 // lives in the indefinite block
+		for c := 1; c < k; c++ {
+			b[c] = make([]float64, n)
+			for i := 2; i < n; i++ {
+				b[c][i] = rng.NormFloat64()
+			}
+		}
+		x := make([][]float64, k)
+		for c := range x {
+			x[c] = make([]float64, n)
+		}
+		results, colErrs, err := BlockCG(blockDenseOp{m}, x, b, BlockCGOptions{Tol: 1e-12, MaxIter: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if colErrs[0] == nil && !results[0].Converged {
+			t.Errorf("k=%d: indefinite column reported neither an error nor convergence", k)
+		}
+		for c := 1; c < k; c++ {
+			if colErrs[c] != nil {
+				t.Fatalf("k=%d: SPD column %d poisoned by sibling breakdown: %v", k, c, colErrs[c])
+			}
+			ref := make([]float64, n)
+			if _, err := CG(denseOp{m}, ref, b[c], CGOptions{Tol: 1e-12, MaxIter: 50}); err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			for i := range ref {
+				if x[c][i] != ref[i] {
+					t.Fatalf("k=%d: SPD column %d diverged from independent solve at %d: %v != %v", k, c, i, x[c][i], ref[i])
+				}
+			}
 		}
 	}
 }
@@ -224,7 +252,7 @@ func TestBlockCGWorkspaceReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, colErrs, err := BlockCG(denseOp{spd}, x, b, BlockCGOptions{Tol: 1e-12, Work: &work})
+		_, colErrs, err := BlockCG(blockDenseOp{spd}, x, b, BlockCGOptions{Tol: 1e-12, Work: &work})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,10 +289,8 @@ func TestNewJacobiFromDiagonal(t *testing.T) {
 
 // zeroDiagOp reports a diagonal with a zero entry; the CG default-precond
 // selection must fall back to the identity instead of dividing by zero.
-type zeroDiagOp struct{ m *Dense }
+type zeroDiagOp struct{ blockDenseOp }
 
-func (o zeroDiagOp) Dim() int               { return o.m.Rows }
-func (o zeroDiagOp) Apply(dst, x []float64) { o.m.MulVec(dst, x) }
 func (o zeroDiagOp) Diagonal() []float64 {
 	d := make([]float64, o.m.Rows)
 	for i := range d {
@@ -283,7 +309,7 @@ func TestCGDegenerateDiagonalFallsBackToIdentity(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res, err := CG(zeroDiagOp{spd}, x, b, CGOptions{Tol: 1e-12})
+	res, err := CG(zeroDiagOp{blockDenseOp{spd}}, x, b, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("CG with degenerate diagonal: %v", err)
 	}
@@ -297,7 +323,7 @@ func TestCGDegenerateDiagonalFallsBackToIdentity(t *testing.T) {
 	}
 	// The fallback must behave exactly like an explicit identity run.
 	ref := make([]float64, n)
-	if _, err := CG(zeroDiagOp{spd}, ref, b, CGOptions{Tol: 1e-12, Precond: IdentityPreconditioner{}}); err != nil {
+	if _, err := CG(zeroDiagOp{blockDenseOp{spd}}, ref, b, CGOptions{Tol: 1e-12, Precond: IdentityPreconditioner{}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref {
@@ -307,7 +333,7 @@ func TestCGDegenerateDiagonalFallsBackToIdentity(t *testing.T) {
 	}
 	// BlockCG shares the selection logic.
 	bx := [][]float64{make([]float64, n)}
-	_, colErrs, err := BlockCG(zeroDiagOp{spd}, bx, [][]float64{b}, BlockCGOptions{Tol: 1e-12})
+	_, colErrs, err := BlockCG(zeroDiagOp{blockDenseOp{spd}}, bx, [][]float64{b}, BlockCGOptions{Tol: 1e-12})
 	if err != nil || colErrs[0] != nil {
 		t.Fatalf("BlockCG with degenerate diagonal: %v %v", err, colErrs)
 	}
@@ -344,80 +370,46 @@ func denseLaplacian(n int, rng *randx.RNG) *Dense {
 
 // TestBlockCGProjectConstantMatchesCG: with ProjectConstant, BlockCG over a
 // singular Laplacian must reproduce per-column CG with ProjectConstant bit
-// for bit — solution, iterations, residual and convergence — through both
-// the per-column Apply path and the fused ApplyBlock path. The columns
-// converge at staggered iterations (a zero rhs, a tiny rhs, dense ones), and
-// some start from a nonzero guess with a constant component, so every one of
-// CG's projection points is exercised.
+// for bit — solution, iterations, residual and convergence — under every
+// preconditioner kind. The twelve columns converge at staggered iterations
+// (a zero rhs, a tiny rhs, dense ones), and some start from a nonzero
+// guess with a constant component, so every one of CG's projection points
+// is exercised in both blocks.
 func TestBlockCGProjectConstantMatchesCG(t *testing.T) {
 	rng := randx.New(27)
 	n := 150
 	lap := denseLaplacian(n, rng)
-	const k = 6
+	const k = 12
 	b := make([][]float64, k)
 	start := make([][]float64, k)
 	for c := range b {
 		b[c] = make([]float64, n)
 		start[c] = make([]float64, n)
 	}
-	// Column 0: zero rhs. Column 1: a tiny dipole across one edge.
-	// Column 2: a dense mean-zero rhs. Column 3: one smooth wave.
-	// Column 4: a dense rhs with a constant component. Column 5: a dense
-	// rhs from a nonzero start off range(L).
-	b[1][0], b[1][1] = 1e-8, -1e-8
-	for i := range b[3] {
-		b[3][i] = math.Cos(2 * math.Pi * float64(i) / float64(n))
-	}
-	for _, c := range []int{2, 4, 5} {
-		for i := range b[c] {
-			b[c][i] = rng.NormFloat64()
+	// Per block of six: a zero rhs; a tiny dipole across one edge; a
+	// dense mean-zero rhs; one smooth wave; a dense rhs with a constant
+	// component; a dense rhs from a nonzero start off range(L).
+	for _, o := range []int{0, 6} {
+		b[o+1][o], b[o+1][o+1] = 1e-8, -1e-8
+		for i := range b[o+3] {
+			b[o+3][i] = math.Cos(2 * math.Pi * float64(i*(1+o)) / float64(n))
 		}
-		if c != 4 {
-			ProjectOutConstant(b[c])
-		}
-	}
-	for i := range start[5] {
-		start[5][i] = 3 + rng.NormFloat64()
-	}
-	opts := CGOptions{Tol: 1e-10, ProjectConstant: true}
-	refX := make([][]float64, k)
-	refRes := make([]CGResult, k)
-	for c := range b {
-		refX[c] = append([]float64(nil), start[c]...)
-		res, err := CG(denseOp{lap}, refX[c], b[c], opts)
-		if err != nil {
-			t.Fatalf("reference CG col %d: %v", c, err)
-		}
-		refRes[c] = res
-	}
-	if refRes[1].Iterations == refRes[2].Iterations || refRes[2].Iterations == refRes[3].Iterations {
-		t.Fatal("test is vacuous: the nonzero columns converge at the same iteration")
-	}
-	for _, fused := range []bool{false, true} {
-		var op Operator = denseOp{lap}
-		if fused {
-			op = blockDenseOp{lap}
-		}
-		x := make([][]float64, k)
-		for c := range x {
-			x[c] = append([]float64(nil), start[c]...)
-		}
-		results, colErrs, err := BlockCG(op, x, b, BlockCGOptions{Tol: opts.Tol, ProjectConstant: true})
-		if err != nil {
-			t.Fatalf("fused=%v: BlockCG: %v", fused, err)
-		}
-		for c := 0; c < k; c++ {
-			if colErrs[c] != nil {
-				t.Fatalf("fused=%v col %d: %v", fused, c, colErrs[c])
+		for _, c := range []int{o + 2, o + 4, o + 5} {
+			for i := range b[c] {
+				b[c][i] = rng.NormFloat64()
 			}
-			if results[c] != refRes[c] {
-				t.Fatalf("fused=%v col %d: result %+v, want %+v", fused, c, results[c], refRes[c])
+			if c != o+4 {
+				ProjectOutConstant(b[c])
 			}
-			for i := range x[c] {
-				if math.Float64bits(x[c][i]) != math.Float64bits(refX[c][i]) {
-					t.Fatalf("fused=%v col %d row %d: %v != %v (bitwise)", fused, c, i, x[c][i], refX[c][i])
-				}
-			}
+		}
+		for i := range start[o+5] {
+			start[o+5][i] = 3 + rng.NormFloat64()
+		}
+	}
+	for name, pc := range blockPreconds(n, rng) {
+		res := checkBlockMatchesCG(t, name, lap, b, start, CGOptions{Tol: 1e-10, ProjectConstant: true, Precond: pc})
+		if res[1].Iterations == res[2].Iterations || res[2].Iterations == res[3].Iterations {
+			t.Fatalf("%s: test is vacuous: the nonzero columns converge at the same iteration", name)
 		}
 	}
 }

@@ -141,6 +141,18 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 	if len(x) != n || len(b) != n {
 		return CGResult{}, fmt.Errorf("linalg: CG dimension mismatch: operator %d, x %d, b %d", n, len(x), len(b))
 	}
+	res, colErr, err := cg(a, x, b, opts)
+	if err == nil {
+		err = colErr
+	}
+	return res, err
+}
+
+// cg is CG with its two kinds of failure apart: colErr is a breakdown or
+// non-convergence of this right-hand side, err a cancellation or an
+// injected fault, which BlockCG reports for the whole solve.
+func cg(a Operator, x, b []float64, opts CGOptions) (res CGResult, colErr, err error) {
+	n := a.Dim()
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-10
 	}
@@ -174,7 +186,7 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 	if done != nil {
 		// Entry check: an already-expired deadline aborts before any work.
 		if err := cancel.Check(opts.Ctx); err != nil {
-			return CGResult{}, err
+			return CGResult{}, nil, err
 		}
 	}
 	// Fault hook, polled at the cancellation cadence; nil (one atomic
@@ -184,7 +196,7 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 	normB := Norm2(b)
 	if normB == 0 {
 		Zero(x)
-		return CGResult{Converged: true}, nil
+		return CGResult{Converged: true}, nil, nil
 	}
 	if opts.ProjectConstant {
 		ProjectOutConstant(x)
@@ -204,27 +216,26 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 	copy(p, z)
 	rz := Dot(r, z)
 
-	res := CGResult{}
 	for res.Iterations = 0; res.Iterations < opts.MaxIter; res.Iterations++ {
 		if (done != nil || fi != nil) && res.Iterations%cgCheckEvery == 0 {
 			if done != nil {
 				select {
 				case <-done:
 					res.Residual = Norm2(r) / normB
-					return res, cancel.Wrap(opts.Ctx.Err())
+					return res, nil, cancel.Wrap(opts.Ctx.Err())
 				default:
 				}
 			}
 			if err := fi.Fire(); err != nil {
 				res.Residual = Norm2(r) / normB
-				return res, err
+				return res, nil, err
 			}
 		}
 		rnorm := Norm2(r)
 		res.Residual = rnorm / normB
 		if res.Residual <= opts.Tol {
 			res.Converged = true
-			return res, nil
+			return res, nil, nil
 		}
 		a.Apply(ap, p)
 		if opts.ProjectConstant {
@@ -232,7 +243,7 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 		}
 		pap := Dot(p, ap)
 		if pap <= 0 || math.IsNaN(pap) {
-			return res, ErrCGBreakdown
+			return res, ErrCGBreakdown, nil
 		}
 		alpha := rz / pap
 		Axpy(alpha, p, x)
@@ -254,7 +265,11 @@ func CG(a Operator, x, b []float64, opts CGOptions) (CGResult, error) {
 	res.Residual = Norm2(r) / normB
 	res.Converged = res.Residual <= opts.Tol
 	if !res.Converged {
-		return res, fmt.Errorf("linalg: CG did not converge in %d iterations (residual %.3e)", opts.MaxIter, res.Residual)
+		return res, notConverged(opts.MaxIter, res.Residual), nil
 	}
-	return res, nil
+	return res, nil, nil
+}
+
+func notConverged(maxIter int, residual float64) error {
+	return fmt.Errorf("linalg: CG did not converge in %d iterations (residual %.3e)", maxIter, residual)
 }

@@ -260,13 +260,27 @@ func solveRows(g *graph.Graph, k int, opts Options, rng *randx.RNG, fi *faultinj
 
 // rowRHS writes b = Bᵀ W^{1/2} q / √k for a Rademacher edge vector q drawn
 // from rng: each edge {u,v} contributes ±√w·scale to u and ∓√w·scale to v.
+// The edges come in ForEachEdge order, one draw each, and the draw's low
+// bit flips the sign bit of √w·scale, which is rng.Rademacher()·√w·scale
+// exactly.
 func rowRHS(g *graph.Graph, b []float64, rng *randx.RNG, scale float64) {
 	linalg.Zero(b)
-	g.ForEachEdge(func(u, v int32, w float64) {
-		sgn := rng.Rademacher() * math.Sqrt(w) * scale
-		b[u] += sgn
-		b[v] -= sgn
-	})
+	offsets, adj, w := g.RawCSR()
+	for u := range b {
+		for j := offsets[u]; j < offsets[u+1]; j++ {
+			v := adj[j]
+			if v <= int32(u) {
+				continue
+			}
+			m := scale
+			if w != nil {
+				m = math.Sqrt(w[j]) * scale
+			}
+			sgn := math.Float64frombits(math.Float64bits(m) ^ (rng.Uint64()&1)<<63)
+			b[u] += sgn
+			b[v] -= sgn
+		}
+	}
 	// b ⊥ 1 by construction, but project to be safe against rounding.
 	linalg.ProjectOutConstant(b)
 }

@@ -12,11 +12,14 @@ package landmarkrd
 // the blocked sketch row solver with the portfolio's sketch columns.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
+
+	"landmarkrd/internal/lap"
 )
 
 // walkGoldens maps "graph/consumer" to the frozen record of that consumer:
@@ -179,10 +182,12 @@ func TestWalkConsumersUnweightedGoldens(t *testing.T) {
 // graph, where every step draws through the alias table: live replicas
 // serve weighted graphs after their first re-base.
 var weightedWalkGoldens = map[string]string{
-	"ba_120_2_weighted/abwalk":        "3fec71758e219654/58977 3ff2999999999999/46628 3fe504189374bc6a/51460",
-	"ba_120_2_weighted/bipush":        "3fecc0f81983d60d/14242 3ff29490b9af7201/13828 3fe56c737077399d/13513",
-	"ba_120_2_weighted/AdaptivePairs": "3fec3aef6ca97076/16039 3ff3040b8ebc6365/10971 3fe46e61a525c8ce/4776",
-	"ba_120_2_weighted/DiagMC":        "57b1c711fc730a3c",
+	"ba_120_2_weighted/abwalk":             "3fec71758e219654/58977 3ff2999999999999/46628 3fe504189374bc6a/51460",
+	"ba_120_2_weighted/bipush":             "3fecc0f81983d60d/14242 3ff29490b9af7201/13828 3fe56c737077399d/13513",
+	"ba_120_2_weighted/AdaptivePairs":      "3fec3aef6ca97076/16039 3ff3040b8ebc6365/10971 3fe46e61a525c8ce/4776",
+	"ba_120_2_weighted/DiagMC":             "57b1c711fc730a3c",
+	"ba_120_2_weighted/portfolio-exact-cg": "[3 111 51]/b0773d617c5c983d",
+	"ba_120_2_weighted/portfolio-sketch":   "[3 111 51]/59718ce1595ff793",
 }
 
 func TestWalkConsumersWeightedGoldens(t *testing.T) {
@@ -238,12 +243,106 @@ func TestWalkConsumersWeightedGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	got[name+"/DiagMC"] = columnsDigest(idx.Diag)
+	for _, mode := range []DiagMode{DiagExactCG, DiagSketch} {
+		pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 3, Mode: mode, Seed: 17, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[name+"/portfolio-"+mode.String()] = fmt.Sprintf("%v/%s", pf.Landmarks, columnsDigest(pf.Cols...))
+	}
 
 	if len(got) != len(weightedWalkGoldens) {
 		t.Errorf("%d records, %d goldens", len(got), len(weightedWalkGoldens))
 	}
 	for key, rec := range got {
 		if want := weightedWalkGoldens[key]; rec != want {
+			t.Errorf("%s:\n  got  %q\n  want %q", key, rec, want)
+		}
+	}
+}
+
+// blockSolveGoldens freezes the block-CG consumers at the shapes the
+// interleaved solver must keep bit for bit: a K=4 DiagSketch portfolio at
+// rdload's size, built by one worker (whose Laplacian sweeps row-parallelize
+// above the work threshold) and by two; a chol-preconditioned DiagExact
+// column, whose preconditioner runs per column; and one grounded batch of
+// twelve pairs, more than one block wide, whose columns converge at
+// different iterations.
+var blockSolveGoldens = map[string]string{
+	"ba_5000_4/portfolio-sketch/workers=1": "[3 8 11 22]/3b67d695b66b9db7",
+	"ba_5000_4/portfolio-sketch/workers=2": "[3 8 11 22]/3b67d695b66b9db7",
+	"grid_14x14/DiagExact-chol":            "8be4b6ab77d8029f",
+	"ws_180_4/ResistanceBatchCG-12":        "13f9018d9db88412",
+}
+
+func TestBlockSolveGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep is not a -short test")
+	}
+	got := map[string]string{}
+	ba, err := BarabasiAlbert(5000, 4, 2023)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		pf, err := BuildPortfolioIndex(ba, PortfolioBuildOptions{K: 4, Mode: DiagSketch, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("ba_5000_4/portfolio-sketch/workers=%d", workers)] = fmt.Sprintf("%v/%s", pf.Landmarks, columnsDigest(pf.Cols...))
+	}
+
+	grid, _, err := LoadEdgeList(corpusDir + "/grid_14x14.edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := BuildLandmarkIndexOpts(grid, grid.MaxDegreeVertex(), IndexBuildOptions{
+		Mode: DiagExactCG, Precond: PrecondChol, Seed: 17, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["grid_14x14/DiagExact-chol"] = columnsDigest(idx.Diag)
+
+	ws, _, err := LoadEdgeList(corpusDir + "/ws_180_4.edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twelve pairs that all ground at vertex 0, from neighbours to
+	// far-apart vertices, so the block is wider than eight columns and
+	// its columns leave it at different iterations.
+	var pairs [][2]int
+	iters := map[int]bool{}
+	for i := 0; i < 12; i++ {
+		s, tv := 1+i, 2+i*14
+		pairs = append(pairs, [2]int{s, tv})
+		b := make([]float64, ws.N())
+		b[s], b[tv] = 1, -1
+		_, res, err := lap.GroundedSolve(ws, lap.GroundVertex(ws, s, tv), b, lap.ExactTol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iters[res.Iterations] = true
+	}
+	if len(iters) < 2 {
+		t.Fatal("test is vacuous: every pair converges at the same iteration")
+	}
+	values, errs, err := lap.ResistanceBatchCG(context.Background(), ws, 0, pairs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("pair %v: %v", pairs[i], e)
+		}
+	}
+	got["ws_180_4/ResistanceBatchCG-12"] = columnsDigest(values)
+
+	if len(got) != len(blockSolveGoldens) {
+		t.Errorf("%d records, %d goldens", len(got), len(blockSolveGoldens))
+	}
+	for key, rec := range got {
+		if want := blockSolveGoldens[key]; rec != want {
 			t.Errorf("%s:\n  got  %q\n  want %q", key, rec, want)
 		}
 	}
