@@ -276,13 +276,12 @@ func NewEstimatorAt(g *Graph, m Method, landmark int, opts Options) (*Estimator,
 	if seed == 0 {
 		seed = 1
 	}
-	rng := randx.New(seed ^ 0xabcdef)
 	e := &Estimator{method: m, landmark: landmark}
 	var err error
 	switch m {
 	case AbWalk:
 		e.ab, err = core.NewAbWalkEstimator(g, landmark,
-			core.AbWalkOptions{Walks: opts.Walks, MaxSteps: opts.MaxSteps}, rng)
+			core.AbWalkOptions{Walks: opts.Walks, MaxSteps: opts.MaxSteps}, seed)
 	case Push:
 		e.push, err = core.NewPushEstimator(g, landmark,
 			core.PushOptions{Theta: opts.Theta, MaxOps: opts.MaxOps})
@@ -290,7 +289,7 @@ func NewEstimatorAt(g *Graph, m Method, landmark int, opts Options) (*Estimator,
 		e.bipush, err = core.NewBiPushEstimator(g, landmark, core.BiPushOptions{
 			PushTheta: opts.Theta, Walks: opts.Walks,
 			MaxSteps: opts.MaxSteps, MaxOps: opts.MaxOps,
-		}, rng)
+		}, seed)
 	case Auto:
 		return nil, errAutoEstimator
 	default:
@@ -373,20 +372,22 @@ func (e *Estimator) SetMetrics(m *Metrics) {
 // the same sink.
 func (e *Estimator) Stats() Stats { return e.Metrics().Snapshot() }
 
-// Reseed resets the estimator's random stream to a deterministic function
-// of seed, exactly as NewEstimatorAt would with Options.Seed = seed. Push
-// has no randomness, so Reseed is a no-op there. The batch engine reseeds
-// pooled estimators per call to keep batches reproducible.
+// Reseed sets the seed of subsequent queries, exactly as NewEstimatorAt
+// would with Options.Seed = seed. Push has no randomness, so Reseed is a
+// no-op there. Each walk of a query draws from a stream of its own, keyed
+// by the seed, the pair (as min, max) and the walk, so an answer is a
+// function of the seed and the pair alone: asking (s, t) or (t, s), first
+// or after other queries, gives the same bits. The batch engine reseeds
+// pooled estimators per attempt.
 func (e *Estimator) Reseed(seed uint64) {
 	if seed == 0 {
 		seed = 1
 	}
-	rng := randx.New(seed ^ 0xabcdef)
 	switch e.method {
 	case AbWalk:
-		e.ab.Reseed(rng)
+		e.ab.Reseed(seed)
 	case BiPush:
-		e.bipush.Reseed(rng)
+		e.bipush.Reseed(seed)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -73,13 +74,15 @@ type BatchOptions struct {
 	// Options configures each worker's estimator.
 	Options Options
 	// Workers is the number of parallel workers (default GOMAXPROCS).
-	// Worker w handles queries w, w+Workers, w+2·Workers, ..., keeping up
-	// to four of them in flight: their pushes run one after another, and
-	// their walks advance in lockstep on the worker's core, which overlaps
-	// the memory reads of independent walks. Every query draws from its own
-	// random stream derived from Options.Seed and the query position, so
-	// batch results are byte-identical at any worker count and whichever
-	// queries share a worker's lanes.
+	// Worker w handles queries w, w+Workers, w+2·Workers, ...: it runs
+	// each query's pushes, then deals its walks to four walk lanes that
+	// advance in lockstep on the worker's core, which overlaps the memory
+	// reads of independent walks. A batch with fewer queries than workers
+	// splits every query's walks across all the workers instead. Every
+	// walk draws from its own random stream derived from Options.Seed and
+	// the query pair (as min, max), so batch results are byte-identical at
+	// any worker count, at any position in the batch, and for (s, t) and
+	// (t, s).
 	Workers int
 	// Landmark pins the landmark vertex when PinLandmark is true (0 is a
 	// valid vertex, hence the explicit flag). Setting Landmark to a
@@ -151,9 +154,10 @@ type BatchEngine struct {
 	sampler   *walk.Sampler // the workers' walk lanes step through it
 	// idle[j] holds idle estimators for portfolio position j; without a
 	// portfolio there is a single list at position 0.
-	idle    []freeList[*Estimator]
-	degIdle freeList[*core.AbWalkEstimator] // degraded-tier AbWalk estimators
-	metrics *Metrics
+	idle      []freeList[*Estimator]
+	degIdle   freeList[*core.AbWalkEstimator]    // degraded-tier AbWalk estimators
+	exactIdle freeList[*lap.GroundedBlockSolver] // grouped exact solvers
+	metrics   *Metrics
 }
 
 // freeList is a stack of idle estimators guarded by a mutex. Unlike a
@@ -308,7 +312,7 @@ func (e *BatchEngine) acquireDegraded() (*core.AbWalkEstimator, error) {
 	deg, err := core.NewAbWalkEstimator(e.g, e.landmark, core.AbWalkOptions{
 		Walks:    walks,
 		MaxSteps: e.opts.Options.MaxSteps,
-	}, randx.New(e.seed))
+	}, e.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +336,7 @@ func (f fatalError) Unwrap() error { return f.error }
 // with panic-poisoning: an estimator that panicked mid-query may hold
 // arbitrarily corrupt internal state, so it is dropped on the floor instead
 // of being returned to its free list, and the next query acquires a fresh
-// one. It also tracks the queries the worker has in its walk lanes.
+// one. It also tracks the queries it began whose first attempt is walking.
 type batchWorker struct {
 	e        *BatchEngine
 	ests     []*Estimator          // one slot per portfolio position (one without)
@@ -405,10 +409,28 @@ type attempt struct {
 	deg *core.AbWalkEstimator // the degraded-tier estimator (pos < 0)
 }
 
-// beginAttempt fires the per-attempt fault hook and begins one attempt of
-// query q with the given seed: on the degraded tier when degrade is set,
-// else routed (beginRouted).
-func (e *BatchEngine) beginAttempt(ctx context.Context, w *batchWorker, fi *faultinject.Hook, q PairQuery, seed uint64, degrade bool) (*attempt, error) {
+// attemptSalt salts the seed of every attempt after a query's first:
+// resampling with fresh randomness is the point of retrying a Monte Carlo
+// estimator.
+const attemptSalt = 0x6a09e667f3bcc909
+
+// degradedSalt separates the degraded tier's walks from the routed
+// estimator's.
+const degradedSalt = 0xabcdef
+
+// attemptSeed is the seed of a query's attempt-th attempt (from 1). With
+// the pair it keys every walk of the attempt, so the first attempt of a
+// query is answered as a standalone estimator seeded Options.Seed answers
+// it, whatever the query's position in the batch.
+func (e *BatchEngine) attemptSeed(attempt int) uint64 {
+	return e.seed + uint64(attempt-1)*attemptSalt
+}
+
+// beginAttempt fires the per-attempt fault hook and begins attempt number
+// attempt of query q: on the degraded tier when degrade is set, else
+// routed (beginRouted).
+func (e *BatchEngine) beginAttempt(ctx context.Context, w *batchWorker, fi *faultinject.Hook, q PairQuery, attempt int, degrade bool) (*attempt, error) {
+	seed := e.attemptSeed(attempt)
 	// Guard the fire itself: an injected panic at this site must surface as
 	// ErrInternal, not kill the worker goroutine.
 	if ferr := guard.Run(fi.Fire); ferr != nil {
@@ -464,9 +486,10 @@ func (e *BatchEngine) beginAt(ctx context.Context, w *batchWorker, j int, q Pair
 	if err != nil {
 		return nil, fatalError{err}
 	}
-	// Per-query streams keep the answer to query i a pure function of
-	// (seed, i) — independent of which worker ran it, of the worker count,
-	// and of the queries sharing its walk lanes.
+	// Walks keyed by seed and pair keep the answer to a query a pure
+	// function of (seed, pair) — independent of its position, of which
+	// worker ran it, of the worker count, and of the walks sharing its
+	// lanes.
 	est.Reseed(seed)
 	a := &attempt{pos: j, est: est}
 	err = guard.Run(func() error {
@@ -491,7 +514,7 @@ func (e *BatchEngine) beginDegraded(ctx context.Context, w *batchWorker, q PairQ
 	}
 	a := &attempt{pos: -1, deg: deg}
 	err = guard.Run(func() error {
-		deg.Reseed(randx.New(seed ^ 0xabcdef))
+		deg.Reseed(seed ^ degradedSalt)
 		var derr error
 		a.job, derr = deg.StartPairWithCI(ctx, q.S, q.T)
 		return derr
@@ -543,54 +566,90 @@ func (e *BatchEngine) end(w *batchWorker, a *attempt, runErr error) (Estimate, e
 	return res, nil
 }
 
-// querySeed is the stream seed of query i's first attempt.
-func (e *BatchEngine) querySeed(i int) uint64 { return e.seed + uint64(i+1)*0x9e3779b97f4a7c15 }
-
-// laneQuery is one batch query whose first attempt walks in its worker's
-// lanes. It confines a panic in its job's callbacks to itself, and once
-// its walks are over it finishes the attempt and settles the query.
+// laneQuery is one batch query whose first attempt walks in the lanes:
+// in its worker's alone (runWorker), or split into shards across every
+// worker (runShards). Once its walks are over it finishes the attempt and
+// settles the query.
 type laneQuery struct {
-	w       *batchWorker
+	w       *batchWorker // the worker that began it
 	ctx     context.Context
 	fi      *faultinject.Hook
-	i       int
 	degrade bool
 	out     *PairResult // the query, and its result once settled
 	a       *attempt
-	err     error // a panic recovered from the job's Next or Done
+	shards  []*laneShard
+}
+
+// split returns the first attempt's walks as n shards. With finish set
+// (n = 1), the query is finished as soon as its one shard is over.
+func (lq *laneQuery) split(n int, finish bool) []*laneShard {
+	jobs := lq.a.job.Shards(n)
+	lq.shards = make([]*laneShard, n)
+	for k, j := range jobs {
+		lq.shards[k] = &laneShard{lq: lq, job: j, finish: finish}
+	}
+	return lq.shards
+}
+
+// walkErr is the error that cut the query's walks short: a panic recovered
+// from one of its shards, in shard order.
+func (lq *laneQuery) walkErr() error {
+	for _, sh := range lq.shards {
+		if sh.err != nil {
+			return sh.err
+		}
+	}
+	return nil
+}
+
+// laneShard is one shard of a laneQuery as a walk.Job. It confines a panic
+// in the shard's callbacks to itself.
+type laneShard struct {
+	lq     *laneQuery
+	job    walk.Job
+	err    error // a panic recovered from the job's callbacks
+	over   bool
+	finish bool // finish the query once the shard is over
 }
 
 // Next implements walk.Job.
-func (lq *laneQuery) Next() (walk.Walk, bool) {
-	if lq.err == nil {
-		if wk, ok := lq.next(); ok {
+func (sh *laneShard) Next(rng *randx.RNG) (walk.Walk, bool) {
+	if sh.err == nil {
+		if wk, ok := sh.next(rng); ok {
 			return wk, true
 		}
 	}
-	lq.finish(lq.err)
 	return walk.Walk{}, false
 }
 
-func (lq *laneQuery) next() (walk.Walk, bool) {
-	defer lq.recover()
-	return lq.a.job.Next()
+func (sh *laneShard) next(rng *randx.RNG) (walk.Walk, bool) {
+	defer sh.recover()
+	return sh.job.Next(rng)
 }
 
 // Done implements walk.Job.
-func (lq *laneQuery) Done(na, nb, steps int, absorbed bool) {
-	if lq.err == nil {
-		lq.done(na, nb, steps, absorbed)
+func (sh *laneShard) Done(id, na, nb, steps int, absorbed bool) {
+	if sh.err == nil {
+		sh.done(id, na, nb, steps, absorbed)
 	}
 }
 
-func (lq *laneQuery) done(na, nb, steps int, absorbed bool) {
-	defer lq.recover()
-	lq.a.job.Done(na, nb, steps, absorbed)
+func (sh *laneShard) done(id, na, nb, steps int, absorbed bool) {
+	defer sh.recover()
+	sh.job.Done(id, na, nb, steps, absorbed)
 }
 
-func (lq *laneQuery) recover() {
+// Over implements walk.Job.
+func (sh *laneShard) Over() {
+	sh.over = true
+	if sh.finish {
+		sh.lq.finish(sh.err)
+	}
+}
+
+func (sh *laneShard) recover() {
 	if v := recover(); v != nil {
-		lq.err = guard.FromPanic(v)
+		sh.err = guard.FromPanic(v)
 	}
 }
 
@@ -608,9 +667,15 @@ func (lq *laneQuery) finish(runErr error) {
 	}
 	defer w.e.confine(lq.out)
 	res, err := w.e.end(w, lq.a, runErr)
-	if ferr := w.e.settle(lq.ctx, w, lq.fi, lq.i, lq.degrade, res, err, lq.out); ferr != nil && w.fatal == nil {
+	if ferr := w.e.settle(lq.ctx, w, lq.fi, lq.degrade, res, err, lq.out); ferr != nil && w.fatal == nil {
 		w.fatal = ferr
 	}
+}
+
+// abort records the aborted work of the first attempt of a query a
+// cancellation cut short; its error is the batch's.
+func (lq *laneQuery) abort(err error) {
+	_ = guard.Run(func() error { _, ferr := lq.a.job.Finish(err); return ferr })
 }
 
 // confine fails query out with ErrInternal when a panic escapes its
@@ -625,11 +690,11 @@ func (e *BatchEngine) confine(out *PairResult) {
 	}
 }
 
-// beginQuery starts query i: it runs the query's first attempt up to its
-// walks and returns it as a lane job, or answers the query outright (a
-// planned exact pair, a method without walks, or a first attempt that
-// failed before its walks) and returns nil.
-func (e *BatchEngine) beginQuery(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, q PairQuery, degrade bool, out *PairResult) *laneQuery {
+// beginQuery starts a query: it runs the query's first attempt up to its
+// walks and returns it, or answers the query outright (a planned exact
+// pair, a method without walks, or a first attempt that failed before its
+// walks) and returns nil.
+func (e *BatchEngine) beginQuery(ctx context.Context, w *batchWorker, fi *faultinject.Hook, q PairQuery, degrade bool, out *PairResult) *laneQuery {
 	out.PairQuery = q
 	defer e.confine(out)
 	if e.plan.Path == pathExact {
@@ -642,26 +707,26 @@ func (e *BatchEngine) beginQuery(ctx context.Context, w *batchWorker, fi *faulti
 		out.Err = errPlannedExact
 		return nil
 	}
-	a, err := e.beginAttempt(ctx, w, fi, q, e.querySeed(i), degrade)
+	a, err := e.beginAttempt(ctx, w, fi, q, 1, degrade)
 	if err == nil {
-		lq := &laneQuery{w: w, ctx: ctx, fi: fi, i: i, degrade: degrade, out: out, a: a}
+		lq := &laneQuery{w: w, ctx: ctx, fi: fi, degrade: degrade, out: out, a: a}
 		w.inflight = append(w.inflight, lq)
 		return lq
 	}
-	if ferr := e.settle(ctx, w, fi, i, degrade, Estimate{}, err, out); ferr != nil {
+	if ferr := e.settle(ctx, w, fi, degrade, Estimate{}, err, out); ferr != nil {
 		w.fatal = ferr
 	}
 	return nil
 }
 
-// settle answers query i (already in out) from its first attempt's
-// outcome (res, firstErr), applying (in order) the retry budget for transient failures, the
-// degraded marking when degrade is set, and the landmark-conflict
-// fallback. Retried attempts run one at a time, each its own one-job lane
-// run. It returns a non-nil error only for batch-fatal conditions
-// (cancellation, estimator construction failure).
-func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinject.Hook, i int, degrade bool, res Estimate, firstErr error, out *PairResult) error {
-	q, qseed := out.PairQuery, e.querySeed(i)
+// settle answers the query in out from its first attempt's outcome (res,
+// firstErr), applying (in order) the retry budget for transient failures,
+// the degraded marking when degrade is set, and the landmark-conflict
+// fallback. Retried attempts run one at a time, each its own lane run. It
+// returns a non-nil error only for batch-fatal conditions (cancellation,
+// estimator construction failure).
+func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinject.Hook, degrade bool, res Estimate, firstErr error, out *PairResult) error {
+	q := out.PairQuery
 	maxAttempts := e.opts.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 1
@@ -672,9 +737,10 @@ func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinjec
 	}
 	var jitter func() float64
 	if maxAttempts > 1 {
-		// The backoff jitter draws from its own per-query stream so retry
-		// timing never perturbs the estimator's sampling stream.
-		jitter = randx.New(qseed ^ 0x94d049bb133111eb).Float64
+		// The backoff jitter draws from its own per-pair stream so retry
+		// timing never perturbs the estimator's sampling streams.
+		lo, hi := min(q.S, q.T), max(q.S, q.T)
+		jitter = randx.New(randx.Derive(randx.Derive(e.seed^0x94d049bb133111eb, uint64(lo)), uint64(hi))).Float64
 	}
 	attempts, err := retry.Do(ctx, retry.Policy{MaxAttempts: maxAttempts}, jitter, retriable,
 		func() { e.metrics.Retries.Inc() },
@@ -682,14 +748,11 @@ func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinjec
 			if attempt == 1 {
 				return firstErr
 			}
-			// Salted stream per retry: resampling with fresh randomness
-			// is the point of retrying a Monte Carlo estimator.
-			seed := qseed + uint64(attempt-1)*0x6a09e667f3bcc909
-			a, aerr := e.beginAttempt(ctx, w, fi, q, seed, degrade)
+			a, aerr := e.beginAttempt(ctx, w, fi, q, attempt, degrade)
 			if aerr != nil {
 				return aerr
 			}
-			runErr := guard.Run(func() error { return e.sampler.RunJob(ctx, a.job) })
+			runErr := guard.Run(func() error { return e.sampler.RunJob(ctx, a.job.Shards(1)[0]) })
 			res, aerr = e.end(w, a, runErr)
 			return aerr
 		})
@@ -720,13 +783,15 @@ func (e *BatchEngine) settle(ctx context.Context, w *batchWorker, fi *faultinjec
 	return nil
 }
 
-// runWorker answers queries first, first+stride, ... into results with up
-// to walk.Lanes of them in flight. Each query's first attempt begins here
-// — the batch fault hook, routing, Reseed, and for BiPush both pushes —
-// then walks in lockstep with the others' in the worker's lanes, and is
-// finished and settled once its walks are over. Every query draws from its
-// own stream, so no answer depends on which queries shared its lanes.
-// degrade reports whether a query starting now goes to the degraded tier.
+// runWorker answers queries first, first+stride, ... into results. Each
+// query's first attempt begins here — the batch fault hook, routing,
+// Reseed, and for BiPush both pushes — then deals its walks to the
+// worker's lanes, and is finished and settled once its walks are over;
+// the next query begins as soon as the current one has no walk left to
+// deal, so its pushes overlap the last walks in flight. Every walk draws
+// from its own stream, so no answer depends on which walks shared its
+// lanes. degrade reports whether a query starting now goes to the
+// degraded tier.
 func (e *BatchEngine) runWorker(ctx context.Context, w *batchWorker, fi *faultinject.Hook, queries []PairQuery, results []PairResult, first, stride int, degrade func() bool) error {
 	done := cancel.Done(ctx)
 	i := first
@@ -742,8 +807,8 @@ func (e *BatchEngine) runWorker(ctx context.Context, w *batchWorker, fi *faultin
 				default:
 				}
 			}
-			if lq := e.beginQuery(ctx, w, fi, k, queries[k], degrade(), &results[k]); lq != nil {
-				return lq
+			if lq := e.beginQuery(ctx, w, fi, queries[k], degrade(), &results[k]); lq != nil {
+				return lq.split(1, true)[0]
 			}
 		}
 		return nil
@@ -760,23 +825,120 @@ func (e *BatchEngine) runWorker(ctx context.Context, w *batchWorker, fi *faultin
 				w.inflight[0].finish(err)
 			}
 		default:
-			// Canceled: the batch fails with err. Finish only records each
-			// query's aborted work in the metrics, so its error (err again,
-			// or a recovered panic) is dropped.
+			// Canceled: the batch fails with err. Each query in flight
+			// only records its aborted work in the metrics.
 			for _, lq := range w.inflight {
-				_ = guard.Run(func() error { _, ferr := lq.a.job.Finish(err); return ferr })
+				lq.abort(err)
 			}
 			return err
 		}
 	}
 }
 
-// Pairs answers a batch of queries in parallel. Worker w deterministically
-// handles queries w, w+workers, ..., and each query i reseeds its
-// estimator to a stream derived from Options.Seed and i alone, so the
-// results are byte-identical across calls, across engines, across worker
-// counts, and identical to the one-shot Pairs function — whether or not
-// the pool had warm estimators.
+// runShards answers a batch with fewer queries than workers, len(bws):
+// query i's first attempt begins on worker i (its pushes run once), every
+// worker then walks its shard of every begun query — walks w, w+workers,
+// … — in its lanes, and once all the walks are over each query is
+// finished and settled on the worker that began it. So a lone query's
+// walks fill the lanes of every worker. Integer visit counts add up the
+// same however the walks were split, so the answers are those runWorker
+// gives.
+func (e *BatchEngine) runShards(ctx context.Context, bws []batchWorker, fi *faultinject.Hook, queries []PairQuery, results []PairResult, degrade func() bool) error {
+	workers := len(bws)
+	lqs := make([]*laneQuery, len(queries))
+	parallel(len(queries), func(i int) {
+		w := &bws[i]
+		if err := cancel.Check(ctx); err != nil {
+			w.fatal = err
+			return
+		}
+		lqs[i] = e.beginQuery(ctx, w, fi, queries[i], degrade(), &results[i])
+	})
+	var begun []*laneQuery
+	shards := make([][]*laneShard, workers)
+	for _, lq := range lqs {
+		if lq != nil {
+			begun = append(begun, lq)
+			for k, sh := range lq.split(workers, false) {
+				shards[k] = append(shards[k], sh)
+			}
+		}
+	}
+	if err := firstFatal(bws); err != nil {
+		for _, lq := range begun {
+			lq.abort(err)
+		}
+		return err
+	}
+	errs := make([]error, workers)
+	parallel(workers, func(k int) { errs[k] = e.walkShards(ctx, shards[k]) })
+	for _, err := range errs {
+		if err != nil {
+			for _, lq := range begun {
+				lq.abort(err)
+			}
+			return err
+		}
+	}
+	parallel(len(begun), func(i int) { begun[i].finish(begun[i].walkErr()) })
+	return firstFatal(bws)
+}
+
+// walkShards runs shards in one worker's lanes. A panic in the walk kernel
+// itself, outside any one shard's job, fails every shard in flight, and
+// the rest run on. It returns only a cancellation.
+func (e *BatchEngine) walkShards(ctx context.Context, shards []*laneShard) error {
+	dealt := 0
+	next := func() walk.Job {
+		if dealt == len(shards) {
+			return nil
+		}
+		dealt++
+		return shards[dealt-1]
+	}
+	for {
+		err := guard.Run(func() error { return e.sampler.RunJobs(ctx, next) })
+		if !errors.Is(err, guard.ErrInternal) {
+			return err
+		}
+		for _, sh := range shards[:dealt] {
+			if !sh.over && sh.err == nil {
+				sh.err = err
+			}
+		}
+	}
+}
+
+// parallel runs f(0), …, f(n−1) on n goroutines and waits for them.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// firstFatal returns the first batch-fatal error a worker recorded.
+func firstFatal(bws []batchWorker) error {
+	for i := range bws {
+		if bws[i].fatal != nil {
+			return bws[i].fatal
+		}
+	}
+	return nil
+}
+
+// Pairs answers a batch of queries in parallel. Worker w handles queries
+// w, w+workers, ... (a batch smaller than the pool splits each query's
+// walks across every worker), and every walk draws from a stream keyed by
+// Options.Seed, the pair and the walk alone, so the results are
+// byte-identical across calls, across engines, across worker counts,
+// across batch positions and orientations, and identical to the one-shot
+// Pairs function — whether or not the pool had warm estimators.
 func (e *BatchEngine) Pairs(queries []PairQuery) ([]PairResult, error) {
 	return e.PairsContext(context.Background(), queries)
 }
@@ -833,30 +995,42 @@ func (e *BatchEngine) pairs(ctx context.Context, queries []PairQuery, forceDegra
 	// Workers keep their estimators until the whole batch is done: a
 	// worker that finished early must not hand its estimators to a sibling
 	// still starting up, or the number built would depend on scheduling.
-	bws := make([]batchWorker, workers)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		bws[w].e = e
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			errs[worker] = e.runWorker(ctx, &bws[worker], fi, queries, results, worker, workers, degrade)
-		}(w)
+	var err error
+	var bws []batchWorker
+	if pool := e.workers(math.MaxInt); len(queries) < pool {
+		bws = e.batchWorkers(pool)
+		err = e.runShards(ctx, bws, fi, queries, results, degrade)
+	} else {
+		bws = e.batchWorkers(workers)
+		errs := make([]error, workers)
+		parallel(workers, func(w int) {
+			errs[w] = e.runWorker(ctx, &bws[w], fi, queries, results, w, workers, degrade)
+		})
+		for _, werr := range errs {
+			if werr != nil && err == nil {
+				err = werr
+			}
+		}
 	}
-	wg.Wait()
 	for w := range bws {
 		bws[w].close()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	if err := e.resolveExact(ctx, results); err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// batchWorkers returns n workers of e with no estimators yet.
+func (e *BatchEngine) batchWorkers(n int) []batchWorker {
+	bws := make([]batchWorker, n)
+	for w := range bws {
+		bws[w].e = e
+	}
+	return bws
 }
 
 // errPlannedExact marks a result the plan sends to the grouped exact
@@ -871,14 +1045,15 @@ func (e *BatchEngine) pendingExact(err error) bool {
 }
 
 // exactBlockRHS bounds the pairs one grouped exact solve advances
-// together. A block solve holds three n-vectors per column (the right-hand
-// side, its staged copy and the solution) beside the block solver's
-// workspace of four interleaved n-vectors per lane (2, 4 or 8 lanes, the
-// fewest that hold the block's columns), and under the exact plan nearly
-// every pair of a batch grounds at the same vertex, so an unbounded block
-// would hold 24·n bytes per pair of the batch at once. Eight columns fill
-// one interleaved block (linalg.BlockWidth), the width the diagonal index
-// build uses; a full block holds 56·n bytes per pair.
+// together. A block solver holds two n-vectors per column (the staged
+// right-hand side and the solution) beside its workspace of four
+// interleaved n-vectors per lane (2, 4 or 8 lanes, the fewest that hold
+// the block's columns), and under the exact plan nearly every pair of a
+// batch grounds at the same vertex, so an unbounded block would hold
+// 16·n bytes per pair of the batch at once. Eight columns fill one
+// interleaved block (linalg.BlockWidth), the width the diagonal index
+// build uses; a full block's solver holds 48·n bytes per pair, and the
+// engine keeps its solvers on a free list for the next block.
 const exactBlockRHS = 8
 
 // exactBlock is one grouped exact solve: up to exactBlockRHS result
@@ -937,21 +1112,15 @@ func (e *BatchEngine) resolveExact(ctx context.Context, results []PairResult) er
 	}
 	blocks := e.exactBlocks(results)
 	workers := e.workers(len(blocks))
-	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for b := worker; b < len(blocks); b += workers {
-				if err := e.solveExactBlock(ctx, results, blocks[b]); err != nil {
-					errs[worker] = err
-					return
-				}
+	parallel(workers, func(worker int) {
+		for b := worker; b < len(blocks); b += workers {
+			if err := e.solveExactBlock(ctx, results, blocks[b]); err != nil {
+				errs[worker] = err
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -983,13 +1152,23 @@ func (e *BatchEngine) labelExact(ctx context.Context, lab *elim.Labels, buildErr
 	return nil
 }
 
-// solveExactBlock answers one block's results in place.
+// solveExactBlock answers one block's results in place, on a block solver
+// from the engine's free list: its buffers serve block after block, moved
+// to each block's ground (lap.GroundedBlockSolver.Reground).
 func (e *BatchEngine) solveExactBlock(ctx context.Context, results []PairResult, b exactBlock) error {
 	pairs := make([][2]int, len(b.idxs))
 	for k, i := range b.idxs {
 		pairs[k] = [2]int{results[i].S, results[i].T}
 	}
-	values, perrs, err := lap.ResistanceBatchCG(ctx, e.g, b.ground, pairs, 0, e.metrics)
+	solver, ok := e.exactIdle.get()
+	if ok {
+		solver.Reground(b.ground)
+	} else {
+		solver = lap.NewGroundedBlockSolver(e.g, b.ground, exactBlockRHS)
+		solver.Metrics = e.metrics
+	}
+	values, perrs, err := solver.Resistances(ctx, pairs, 0)
+	e.exactIdle.put(solver)
 	if errors.Is(err, ErrCanceled) {
 		// A mid-solve abort fails the whole batch: the caller's deadline
 		// has passed.

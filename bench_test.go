@@ -229,7 +229,7 @@ func BenchmarkPushPairRoad(b *testing.B) {
 func BenchmarkAbWalkPairSocial(b *testing.B) {
 	g, _ := benchGraphs(b)
 	v := g.MaxDegreeVertex()
-	ab, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 400}, randx.New(6))
+	ab, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 400}, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func BenchmarkAbWalkPairSocial(b *testing.B) {
 func BenchmarkBiPushPairSocial(b *testing.B) {
 	g, _ := benchGraphs(b)
 	v := g.MaxDegreeVertex()
-	bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256}, randx.New(8))
+	bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256}, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func BenchmarkBiPushPairSocialWeighted(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := g.MaxDegreeVertex()
-	bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256}, randx.New(8))
+	bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256}, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -638,6 +638,42 @@ func BenchmarkPairsBatchBiPush(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pair")
+}
+
+// BenchmarkPairsOneQueryBiPush is rdserver's /v1/pair cache-miss shape:
+// one-query routed BiPush PairsContext calls on BA(5000, 4) through a K=4
+// sketch portfolio, on a warm engine with the default worker count
+// (GOMAXPROCS). The lone query's walks fill every lane of every worker.
+func BenchmarkPairsOneQueryBiPush(b *testing.B) {
+	g, err := landmarkrd.BarabasiAlbert(5000, 4, 2023)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 4, Mode: landmarkrd.DiagSketch, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine, err := landmarkrd.NewBatchEngine(g, landmarkrd.BiPush, landmarkrd.BatchOptions{Portfolio: pf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randx.New(34)
+	query := make([]landmarkrd.PairQuery, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, t := rng.Intn(g.N()), rng.Intn(g.N())
+		for s == t {
+			t = rng.Intn(g.N())
+		}
+		query[0] = landmarkrd.PairQuery{S: s, T: t}
+		res, err := engine.PairsContext(context.Background(), query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0].Err != nil {
+			b.Fatal(res[0].Err)
+		}
+	}
 }
 
 // BenchmarkPairsBatchPooled is the pooled counterpart of

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -390,5 +392,66 @@ func TestLandmarksShardSubset(t *testing.T) {
 		landmarks: "5,100000", indexMode: "exact",
 	}); err == nil {
 		t.Error("out-of-range -landmarks vertex accepted")
+	}
+}
+
+// TestOneAnswerPerPairServed: one epoch gives a pair one value on the wire,
+// bit for bit — /v1/pair as (s, t) and (t, s), /v1/batch at positions 0
+// and 5, and with -cache on, (s, t) then (t, s) on one fresh server and
+// the reverse order on another, whichever orientation filled the cache.
+func TestOneAnswerPerPairServed(t *testing.T) {
+	cfg := serverConfig{maxInflight: 16, timeout: 30 * time.Second}
+	plain := httptest.NewServer(newTestServer(t, cfg).routes())
+	defer plain.Close()
+	batchValue := func(s, tt, pos int) float64 {
+		t.Helper()
+		queries := []string{`{"s":0,"t":100}`, `{"s":5,"t":55}`, `{"s":1,"t":2}`, `{"s":190,"t":7}`, `{"s":42,"t":141}`, `{"s":11,"t":12}`}
+		queries[pos] = fmt.Sprintf(`{"s":%d,"t":%d}`, s, tt)
+		resp, err := http.Post(plain.URL+"/v1/batch", "application/json", strings.NewReader(`{"pairs":[`+strings.Join(queries, ",")+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Results []struct {
+				S, T  int
+				Value float64
+				Err   string `json:"error"`
+			}
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		r := out.Results[pos]
+		if r.Err != "" || r.S != s || r.T != tt {
+			t.Fatalf("batch position %d: (%d,%d) error %q, asked (%d,%d)", pos, r.S, r.T, r.Err, s, tt)
+		}
+		return r.Value
+	}
+	cfg.cacheSize = 64
+	for _, p := range [][2]int{{3, 170}, {150, 20}, {60, 61}} {
+		s, tt := p[0], p[1]
+		want := pairViaHTTP(t, plain, s, tt).Value
+		got := map[string]float64{
+			"pair (t,s)":    pairViaHTTP(t, plain, tt, s).Value,
+			"batch 0 (s,t)": batchValue(s, tt, 0),
+			"batch 5 (t,s)": batchValue(tt, s, 5),
+		}
+		for order, pairs := range map[string][][2]int{"(s,t) first": {{s, tt}, {tt, s}}, "(t,s) first": {{tt, s}, {s, tt}}} {
+			cached := httptest.NewServer(newTestServer(t, cfg).routes())
+			for i, q := range pairs {
+				out := pairViaHTTP(t, cached, q[0], q[1])
+				if wantCache := []string{"miss", "hit"}[i]; out.Cache != wantCache {
+					t.Errorf("%v %s: cache %q, want %q", q, order, out.Cache, wantCache)
+				}
+				got[fmt.Sprintf("cache %s, %v", order, q)] = out.Value
+			}
+			cached.Close()
+		}
+		for how, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Errorf("pair (%d,%d): %s = %v, /v1/pair (s,t) = %v", s, tt, how, v, want)
+			}
+		}
 	}
 }

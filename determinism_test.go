@@ -283,3 +283,125 @@ func TestIndexBuildWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestOneAnswerPerPair is the pair-keyed stream contract: within one
+// engine (graph, seed, portfolio), a pair gets one bit pattern however it
+// is asked — as (s, t) or (t, s), alone or at position 0 or 5 of a batch,
+// at 1, 2 or 4 workers — for every method, the degraded tier and
+// AdaptivePairs. A lone query splits its walks across the workers; a
+// six-query batch runs each query on one worker's lanes. The engine echoes
+// the caller's orientation.
+func TestOneAnswerPerPair(t *testing.T) {
+	g := determinismGraph(t)
+	pf, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 4, Mode: DiagSketch, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []PairQuery{{S: 2, T: 501}, {S: 350, T: 17}, {S: 44, T: 599}, {S: 123, T: 321}}
+	filler := []PairQuery{{S: 8, T: 90}, {S: 77, T: 411}, {S: 300, T: 5}, {S: 250, T: 251}, {S: 13, T: 560}, {S: 400, T: 401}}
+	// asked returns the ways of asking pair p: alone, or at position 0 or
+	// 5 of a six-query batch, each in both orientations.
+	asked := func(p PairQuery) (batches [][]PairQuery, at []int) {
+		for _, q := range []PairQuery{p, {S: p.T, T: p.S}} {
+			batches, at = append(batches, []PairQuery{q}), append(at, 0)
+			for _, pos := range []int{0, 5} {
+				b := append([]PairQuery(nil), filler...)
+				b[pos] = q
+				batches, at = append(batches, b), append(at, pos)
+			}
+		}
+		return batches, at
+	}
+	type run func(workers int, queries []PairQuery) ([]PairResult, error)
+	engineRun := func(m Method, degraded bool) run {
+		return func(workers int, queries []PairQuery) ([]PairResult, error) {
+			e, err := NewBatchEngine(g, m, BatchOptions{Options: Options{Seed: 5, Walks: 64}, Workers: workers, Portfolio: pf})
+			if err != nil {
+				return nil, err
+			}
+			if degraded {
+				return e.DegradedPairsContext(context.Background(), queries)
+			}
+			return e.PairsContext(context.Background(), queries)
+		}
+	}
+	cases := map[string]run{"degraded": engineRun(BiPush, true)}
+	for _, m := range []Method{AbWalk, Push, BiPush, Auto} {
+		cases[m.String()] = engineRun(m, false)
+	}
+	for name, f := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, p := range pairs {
+				want := ""
+				batches, at := asked(p)
+				for _, workers := range []int{1, 2, 4} {
+					for b, queries := range batches {
+						res, err := f(workers, queries)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r := res[at[b]]
+						if r.Err != nil {
+							t.Fatalf("%v workers=%d: %v", queries[at[b]], workers, r.Err)
+						}
+						if r.PairQuery != queries[at[b]] {
+							t.Fatalf("result echoes %v, asked %v", r.PairQuery, queries[at[b]])
+						}
+						key := fmt.Sprintf("%s degraded=%v", estimateKey(r.Estimate), r.Degraded)
+						if want == "" {
+							want = key
+						} else if key != want {
+							t.Fatalf("pair %v asked as %v at position %d of %d, workers=%d:\n  %s\n  want %s",
+								p, queries[at[b]], at[b], len(queries), workers, key, want)
+						}
+					}
+				}
+			}
+		})
+	}
+
+	// AdaptivePairs splits one budget across its batch, so a pair keeps its
+	// answer when the same batch is reordered or reoriented.
+	t.Run("AdaptivePairs", func(t *testing.T) {
+		base := append(append([]PairQuery(nil), pairs[:1]...), filler[1:]...)
+		for _, workers := range []int{1, 2, 4} {
+			e, err := NewBatchEngine(g, AbWalk, BatchOptions{Options: Options{Seed: 5}, Workers: workers, PinLandmark: true, Landmark: g.MaxDegreeVertex()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, flip := range []bool{false, true} {
+				for _, pos := range []int{0, 5} {
+					queries := append([]PairQuery(nil), base...)
+					if flip {
+						for i := range queries {
+							queries[i] = PairQuery{S: queries[i].T, T: queries[i].S}
+						}
+					}
+					queries[0], queries[pos] = queries[pos], queries[0]
+					res, err := e.AdaptivePairs(queries, AdaptiveBatchOptions{TotalWalks: 3000, PilotWalks: 32})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res[0], res[pos] = res[pos], res[0]
+					keys := make([]string, len(res))
+					for i, r := range res {
+						if r.Err != nil {
+							t.Fatalf("%v: %v", r.PairQuery, r.Err)
+						}
+						keys[i] = estimateKey(r.Estimate)
+					}
+					if want == nil {
+						want = keys
+						continue
+					}
+					for i := range keys {
+						if keys[i] != want[i] {
+							t.Fatalf("workers=%d flip=%v position %d: pair %v answered\n  %s\n  want %s", workers, flip, pos, base[i], keys[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -47,12 +47,13 @@ type AbWalkEstimator struct {
 	landmark int
 	sampler  *walk.Sampler
 	opts     AbWalkOptions
-	rng      *randx.RNG
+	seed     uint64
 	metrics  *obs.Metrics
 }
 
 // NewAbWalkEstimator builds an absorbed-walk estimator with landmark v.
-func NewAbWalkEstimator(g *graph.Graph, landmark int, opts AbWalkOptions, rng *randx.RNG) (*AbWalkEstimator, error) {
+// seed keys every walk's stream (see PairJob).
+func NewAbWalkEstimator(g *graph.Graph, landmark int, opts AbWalkOptions, seed uint64) (*AbWalkEstimator, error) {
 	if err := g.ValidateVertex(landmark); err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func NewAbWalkEstimator(g *graph.Graph, landmark int, opts AbWalkOptions, rng *r
 		landmark: landmark,
 		sampler:  walk.NewSampler(g),
 		opts:     opts,
-		rng:      rng,
+		seed:     seed,
 		metrics:  &obs.Metrics{},
 	}, nil
 }
@@ -79,39 +80,33 @@ func (e *AbWalkEstimator) Metrics() *obs.Metrics { return e.metrics }
 // estimators). Call before issuing queries, not concurrently with them.
 func (e *AbWalkEstimator) SetMetrics(m *obs.Metrics) { e.metrics = m }
 
-// Reseed resets the estimator's random stream, making subsequent queries a
-// deterministic function of rng regardless of prior use.
-func (e *AbWalkEstimator) Reseed(rng *randx.RNG) { e.rng = rng }
+// Reseed sets the seed that keys the walks of subsequent queries: each
+// answer is a function of the seed and the pair alone.
+func (e *AbWalkEstimator) Reseed(seed uint64) { e.seed = seed }
 
-// abWalkQuery is one AbWalk query as a walk.Job: Walks walk-pairs, each
-// an absorbed walk from s (watching s and t) and then one from t (watching
-// t and s), with the fault hook fired once per walk-pair. Finish combines
-// the visit counts into the landmark identity, as sums (PairContext) or as
-// the per-walk-pair statistic whose sample variance gives a confidence
-// half-width (PairWithCIContext).
+// abWalkQuery is one AbWalk query as a PairJob: Walks walk-pairs, walk k
+// of side 0 an absorbed walk from s (watching s and t) and walk k of side
+// 1 one from t (watching t and s), with the fault hook fired once per
+// walk-pair, on its side-0 walk. Finish combines the visit counts into the
+// landmark identity, as sums (PairContext) or as the per-walk-pair
+// statistic whose sample variance gives a confidence half-width
+// (PairWithCIContext).
 type abWalkQuery struct {
 	e      *AbWalkEstimator
 	start  time.Time
-	s, t   int
+	s, t   int // s < t
 	o      AbWalkOptions
-	rng    *randx.RNG
+	key    uint64 // the pair's stream key
 	fi     *faultinject.Hook
 	withCI bool
 	ds, dt float64
-	begun  int // walks begun, two per walk-pair
-	err    error
-
-	walksDone, hits                    int
-	steps                              int64
-	visitSS, visitST, visitTT, visitTS float64 // sums over all walks
-	vSS, vST                           int     // the current pair's walk from s
-	sum, sumSq                         float64 // per-walk-pair statistic
-	half                               float64 // set by Finish with CI
+	pairWalks
+	half float64 // set by Finish with CI
 }
 
-// StartPair validates the query and returns its walks as a job drawing
-// from the estimator's current stream. The job keeps that stream: a later
-// Reseed gives the next query a new one and leaves this job's alone.
+// StartPair validates the query and returns its walks as a job keyed by
+// the estimator's current seed. The job keeps that seed: a later Reseed
+// gives the next query a new one and leaves this job's alone.
 func (e *AbWalkEstimator) StartPair(ctx context.Context, s, t int) (PairJob, error) {
 	return e.start(ctx, s, t, false)
 }
@@ -131,9 +126,14 @@ func (e *AbWalkEstimator) start(ctx context.Context, s, t int, withCI bool) (CIJ
 	if s == t {
 		return answered{Estimate{Converged: true}}, nil
 	}
+	s, t = canonical(s, t)
 	q := &abWalkQuery{
-		e: e, start: start, s: s, t: t, o: e.opts.withDefaults(e.g.N()), rng: e.rng, withCI: withCI,
+		e: e, start: start, s: s, t: t, o: e.opts.withDefaults(e.g.N()), key: pairKey(e.seed, s, t), withCI: withCI,
 		ds: e.g.WeightedDegree(s), dt: e.g.WeightedDegree(t),
+	}
+	q.n = [2]int{q.o.Walks, q.o.Walks}
+	if withCI {
+		q.withParts(q.ds, q.dt)
 	}
 	if cancel.Done(ctx) != nil {
 		if err := cancel.Check(ctx); err != nil {
@@ -146,50 +146,21 @@ func (e *AbWalkEstimator) start(ctx context.Context, s, t int, withCI bool) (CIJ
 	return q, nil
 }
 
-// Next implements walk.Job.
-func (q *abWalkQuery) Next() (walk.Walk, bool) {
-	if q.err != nil || q.begun == 2*q.o.Walks {
-		return walk.Walk{}, false
-	}
-	w := walk.Walk{Src: q.s, V: q.e.landmark, A: q.s, B: q.t, MaxSteps: q.o.MaxSteps, RNG: q.rng}
-	if q.begun%2 == 0 {
-		if err := q.fi.Fire(); err != nil {
-			q.err = err
-			return walk.Walk{}, false
-		}
-	} else {
-		w.Src, w.A, w.B = q.t, q.t, q.s
-	}
-	q.begun++
-	return w, true
-}
+// Shards implements PairJob.
+func (q *abWalkQuery) Shards(n int) []walk.Job { return q.split(q, n) }
 
-// Done implements walk.Job.
-func (q *abWalkQuery) Done(na, nb, steps int, absorbed bool) {
-	q.steps += int64(steps)
-	if q.begun%2 == 1 { // the walk from s
-		q.visitSS += float64(na)
-		q.visitST += float64(nb)
-		q.vSS, q.vST = na, nb
-	} else {
-		q.visitTT += float64(na)
-		q.visitTS += float64(nb)
-		x := float64(q.vSS)/q.ds + float64(na)/q.dt - float64(q.vST)/q.dt - float64(nb)/q.ds
-		q.sum += x
-		q.sumSq += x * x
-	}
-	q.walksDone++
-	if absorbed {
-		q.hits++
-	}
+// walk implements walkSource.
+func (q *abWalkQuery) walk(side, k int, rng *randx.RNG) (walk.Walk, error) {
+	return pairWalk(q.s, q.t, q.e.landmark, q.o.MaxSteps, q.key, q.fi, side, k, rng)
 }
 
 // abort records the walks sampled before a failure.
 func (q *abWalkQuery) abort(cause error) {
+	t, _ := q.totals()
 	ob := obs.QueryObservation{
 		Duration:  time.Since(q.start),
-		Walks:     int64(q.walksDone),
-		WalkSteps: q.steps,
+		Walks:     int64(t[0].walks + t[1].walks),
+		WalkSteps: t[0].steps + t[1].steps,
 	}
 	if errors.Is(cause, cancel.ErrCanceled) {
 		ob.Canceled = true
@@ -205,21 +176,25 @@ func (q *abWalkQuery) HalfWidth() float64 { return q.half }
 
 // Finish implements PairJob.
 func (q *abWalkQuery) Finish(runErr error) (Estimate, error) {
-	if q.err == nil {
-		q.err = runErr
+	t, err := q.totals()
+	if err == nil {
+		err = runErr
 	}
-	if q.err != nil {
-		q.abort(q.err)
-		return Estimate{}, q.err
+	if err != nil {
+		q.abort(err)
+		return Estimate{}, err
 	}
 	nr := float64(q.o.Walks)
 	var val float64
 	if q.withCI {
-		val = q.sum / nr
-		variance := math.Max(0, q.sumSq/nr-val*val)
+		var sum, sumSq float64
+		q.fold(&sum, &sumSq)
+		val = sum / nr
+		variance := math.Max(0, sumSq/nr-val*val)
 		q.half = 1.96 * math.Sqrt(variance/nr)
 	} else {
-		val = q.visitSS/(nr*q.ds) + q.visitTT/(nr*q.dt) - q.visitST/(nr*q.dt) - q.visitTS/(nr*q.ds)
+		// Side 0 walks from s (A = s, B = t), side 1 from t (A = t, B = s).
+		val = float64(t[0].na)/(nr*q.ds) + float64(t[1].na)/(nr*q.dt) - float64(t[0].nb)/(nr*q.dt) - float64(t[1].nb)/(nr*q.ds)
 	}
 	// Resistance is non-negative; sampling noise on near pairs can push
 	// the raw combination slightly below zero, so clamp rather than hand
@@ -227,13 +202,14 @@ func (q *abWalkQuery) Finish(runErr error) (Estimate, error) {
 	if val < 0 {
 		val = 0
 	}
+	hits := t[0].hits + t[1].hits
 	est := Estimate{
 		Value:        val,
 		Walks:        2 * q.o.Walks,
-		WalkSteps:    q.steps,
-		LandmarkHits: q.hits,
+		WalkSteps:    t[0].steps + t[1].steps,
+		LandmarkHits: hits,
 		Duration:     time.Since(q.start),
-		Converged:    q.hits == 2*q.o.Walks,
+		Converged:    hits == 2*q.o.Walks,
 	}
 	q.e.metrics.ObserveQuery(est.observation())
 	return est, nil
@@ -248,8 +224,7 @@ func (e *AbWalkEstimator) Pair(s, t int) (Estimate, error) {
 // walks and (via the sampler) every few thousand steps inside long walks,
 // aborting with a cancel.Error once the context is done. The walks sampled
 // before the abort are recorded in the metrics as a canceled observation.
-// With a non-cancellable ctx the RNG stream and the estimate are
-// byte-identical to Pair.
+// With a non-cancellable ctx the estimate is byte-identical to Pair.
 func (e *AbWalkEstimator) PairContext(ctx context.Context, s, t int) (Estimate, error) {
 	q, err := e.StartPair(ctx, s, t)
 	if err != nil {
@@ -267,9 +242,9 @@ func (e *AbWalkEstimator) PairWithCI(s, t int) (Estimate, float64, error) {
 
 // PairWithCIContext is PairWithCI with cancellation and fault-hook polling,
 // following the same contract as PairContext: with a non-cancellable ctx and
-// no armed faults the RNG stream and the estimate are byte-identical to
-// PairWithCI. The batch engine's degraded tier uses the half-width to attach
-// an error bound to fallback answers.
+// no armed faults the estimate is byte-identical to PairWithCI. The batch
+// engine's degraded tier uses the half-width to attach an error bound to
+// fallback answers.
 func (e *AbWalkEstimator) PairWithCIContext(ctx context.Context, s, t int) (Estimate, float64, error) {
 	j, err := e.StartPairWithCI(ctx, s, t)
 	if err != nil {

@@ -47,15 +47,15 @@ type AdaptiveResult struct {
 }
 
 // adaptivePairState is the accumulator a pair carries across the pilot and
-// top-up rounds. Its rng stream is private to the pair, so which worker
-// samples it — in which round, and beside which other pairs in the walk
-// lanes — cannot change the estimate. In each round it is a walk.Job of
-// todo walk-pairs, each an absorbed walk from s and then one from t, with
-// the fault hook fired once per walk-pair.
+// top-up rounds. Its walks are AbWalk's walk-pairs, keyed by the batch
+// seed and the pair as AbWalkEstimator keys them, so which worker samples
+// a walk, in which round, and beside which other walks in the lanes cannot
+// change the estimate. Each round is a walk.Job of todo walk-pairs
+// (adaptiveRound), with the fault hook fired once per walk-pair.
 type adaptivePairState struct {
-	s, t     int
+	s, t     int // s < t
 	ds, dt   float64
-	rng      *randx.RNG
+	key      uint64 // the pair's stream key
 	sum      float64
 	sumSq    float64
 	walks    int // walk-pairs sampled so far
@@ -66,52 +66,49 @@ type adaptivePairState struct {
 	err      error
 	inactive bool // validation failed or s == t; sampled by neither round
 
-	// The current round's job.
-	landmark, maxSteps int
-	fi                 *faultinject.Hook
-	todo, begun        int // walks to begin this round, and begun so far
-	vSS, vST           int // the current walk-pair's walk from s
-	t0                 time.Time
+	// The current round: walk-pairs from, from+1, ….
+	landmark, maxSteps, from int
+	fi                       *faultinject.Hook
+	t0                       time.Time
 }
 
-// Next implements walk.Job. Once the round is over it adds the round's
-// wall time to the pair's.
-func (st *adaptivePairState) Next() (walk.Walk, bool) {
-	if st.err != nil || st.begun == st.todo {
-		st.elapsed += time.Since(st.t0)
-		return walk.Walk{}, false
-	}
-	w := walk.Walk{Src: st.s, V: st.landmark, A: st.s, B: st.t, MaxSteps: st.maxSteps, RNG: st.rng}
-	if st.begun%2 == 0 {
-		if err := st.fi.Fire(); err != nil {
-			st.err = err
-			st.elapsed += time.Since(st.t0)
-			return walk.Walk{}, false
-		}
-	} else {
-		w.Src, w.A, w.B = st.t, st.t, st.s
-	}
-	st.begun++
-	return w, true
+// walk implements walkSource: the walk of side in walk-pair from+k, as
+// AbWalk deals walk-pair from+k.
+func (st *adaptivePairState) walk(side, k int, rng *randx.RNG) (walk.Walk, error) {
+	return pairWalk(st.s, st.t, st.landmark, st.maxSteps, st.key, st.fi, side, st.from+k, rng)
 }
 
-// Done implements walk.Job. The per-walk-pair statistic is exactly
-// PairWithCIContext's combined visit-count expression, so a pilot+top-up
-// totalling k walk-pairs reproduces a k-walk fixed-budget estimate bit for
-// bit.
-func (st *adaptivePairState) Done(na, nb, steps int, absorbed bool) {
-	st.steps += int64(steps)
-	if absorbed {
-		st.hits++
-	}
-	if st.begun%2 == 1 {
-		st.vSS, st.vST = na, nb
+// round returns the pair's next todo walk-pairs as a walk.Job.
+func (st *adaptivePairState) round(todo, landmark, maxSteps int, fi *faultinject.Hook) walk.Job {
+	st.landmark, st.maxSteps, st.from, st.fi, st.t0 = landmark, maxSteps, st.walks, fi, time.Now()
+	pw := &pairWalks{n: [2]int{todo, todo}}
+	pw.withParts(st.ds, st.dt)
+	return &adaptiveRound{shard: pw.split(st, 1)[0].(*shard), st: st}
+}
+
+// adaptiveRound is one round of a pair's walks, as one shard. Once they
+// are over it folds their per-walk-pair statistic, in walk-pair order,
+// into the pair's sums: exactly PairWithCIContext's fold, so a pilot and
+// top-up totalling k walk-pairs reproduce a k-walk fixed-budget AbWalk
+// estimate with the same seed bit for bit.
+type adaptiveRound struct {
+	*shard
+	st *adaptivePairState
+}
+
+// Over adds the round to the pair, with its wall time.
+func (r *adaptiveRound) Over() {
+	st, pw := r.st, r.pw
+	t, err := pw.totals()
+	st.steps += t[0].steps + t[1].steps
+	st.hits += t[0].hits + t[1].hits
+	st.elapsed += time.Since(st.t0)
+	if err != nil {
+		st.err = err
 		return
 	}
-	x := float64(st.vSS)/st.ds + float64(na)/st.dt - float64(st.vST)/st.dt - float64(nb)/st.ds
-	st.sum += x
-	st.sumSq += x * x
-	st.walks++
+	pw.fold(&st.sum, &st.sumSq)
+	st.walks += pw.n[0]
 }
 
 // AdaptiveBatch estimates r(s,t) for a batch of pairs with a shared walk
@@ -119,7 +116,8 @@ func (st *adaptivePairState) Done(na, nb, steps int, absorbed bool) {
 // variance, then the remaining budget is split proportionally to those
 // variances (Neyman allocation), concentrating samples on hard pairs so all
 // pairs end at (approximately) equal a-priori 95% error bands — easy pairs
-// stop at the pilot instead of burning the same budget as hard ones.
+// stop at the pilot instead of burning the same budget as hard ones. Each
+// pair is answered as (min, max), its walks keyed by seed and the pair.
 //
 // Per-pair failures (landmark conflict, invalid vertices) land in that
 // pair's AdaptiveResult.Err; the batch error is reserved for cancellation.
@@ -161,10 +159,7 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 
 	states := make([]*adaptivePairState, len(pairs))
 	for i, pr := range pairs {
-		st := &adaptivePairState{
-			s: pr.S, t: pr.T,
-			rng: randx.New(seed + uint64(i+1)*0x9e3779b97f4a7c15),
-		}
+		st := &adaptivePairState{}
 		states[i] = st
 		if err := validateQuery(g, landmark, pr.S, pr.T); err != nil {
 			st.err = err
@@ -175,7 +170,9 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 			st.inactive = true // results[i] stays the zero estimate, Converged below
 			continue
 		}
-		st.ds, st.dt = g.WeightedDegree(pr.S), g.WeightedDegree(pr.T)
+		st.s, st.t = canonical(pr.S, pr.T)
+		st.key = pairKey(seed, st.s, st.t)
+		st.ds, st.dt = g.WeightedDegree(st.s), g.WeightedDegree(st.t)
 	}
 
 	workers := indexWorkers(IndexOptions{Workers: opts.Workers}, len(pairs))
@@ -195,10 +192,8 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 						continue
 					}
 					if n := count(i); n > 0 {
-						st.landmark, st.maxSteps, st.fi = landmark, maxSteps, fi
-						st.todo, st.begun, st.t0 = 2*n, 0, time.Now()
 						i += workers
-						return st
+						return st.round(n, landmark, maxSteps, fi)
 					}
 				}
 				return nil

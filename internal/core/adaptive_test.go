@@ -52,6 +52,50 @@ func TestAdaptiveBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAdaptiveBatchMatchesFixedBudget: AdaptiveBatch keys its walks as
+// AbWalkEstimator does and folds its per-walk-pair statistic in walk-pair
+// order, so a pair that got k walk-pairs over the pilot and top-up is
+// answered bit for bit as a k-walk PairWithCI with the same seed, asked
+// either way round.
+func TestAdaptiveBatchMatchesFixedBudget(t *testing.T) {
+	g := testBA(t, 300, 41)
+	landmark := g.MaxDegreeVertex()
+	pairs := adaptiveTestPairs(g, landmark, 6)
+	const seed = 77
+	res, err := AdaptiveBatch(context.Background(), g, landmark, pairs,
+		AdaptiveOptions{TotalWalks: 2400, PilotWalks: 48, Workers: 2}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topped := 0
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		k := r.Estimate.Walks / 2
+		if k > 48 {
+			topped++
+		}
+		ab, err := NewAbWalkEstimator(g, landmark, AbWalkOptions{Walks: k}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pairs[i]
+		est, half, err := ab.PairWithCI(p.T, p.S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(est.Value) != math.Float64bits(r.Estimate.Value) ||
+			math.Float64bits(half) != math.Float64bits(r.ErrBound) || est.WalkSteps != r.Estimate.WalkSteps {
+			t.Errorf("pair %v (%d walk-pairs): adaptive %v ± %v (%d steps), fixed budget %v ± %v (%d steps)",
+				p, k, r.Estimate.Value, r.ErrBound, r.Estimate.WalkSteps, est.Value, half, est.WalkSteps)
+		}
+	}
+	if topped == 0 {
+		t.Fatal("test is vacuous: no pair got a top-up")
+	}
+}
+
 // TestAdaptiveBatchConservesBudget: the pilot plus top-up rounds must spend
 // exactly TotalWalks walk-pairs across the live pairs, with every pair
 // getting at least the pilot.

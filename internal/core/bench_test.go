@@ -27,7 +27,7 @@ func BenchmarkBiPushSplitAblation(b *testing.B) {
 	v := g.MaxDegreeVertex()
 	for _, theta := range []float64{1e-1, 1e-2, 1e-3} {
 		b.Run(fmt.Sprintf("theta=%g", theta), func(b *testing.B) {
-			bp, err := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: theta, Walks: 256}, randx.New(2))
+			bp, err := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: theta, Walks: 256}, 2)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -66,12 +66,13 @@ type BiPushEstimator struct {
 	pusher  *Pusher
 	sampler *walk.Sampler
 	opts    BiPushOptions
-	rng     *randx.RNG
+	seed    uint64
 	metrics *obs.Metrics
 }
 
 // NewBiPushEstimator builds a bidirectional estimator with landmark v.
-func NewBiPushEstimator(g *graph.Graph, landmark int, opts BiPushOptions, rng *randx.RNG) (*BiPushEstimator, error) {
+// seed keys every correction walk's stream (see PairJob).
+func NewBiPushEstimator(g *graph.Graph, landmark int, opts BiPushOptions, seed uint64) (*BiPushEstimator, error) {
 	p, err := NewPusher(g, landmark)
 	if err != nil {
 		return nil, err
@@ -80,7 +81,7 @@ func NewBiPushEstimator(g *graph.Graph, landmark int, opts BiPushOptions, rng *r
 		pusher:  p,
 		sampler: walk.NewSampler(g),
 		opts:    opts,
-		rng:     rng,
+		seed:    seed,
 		metrics: &obs.Metrics{},
 	}, nil
 }
@@ -95,23 +96,17 @@ func (e *BiPushEstimator) Metrics() *obs.Metrics { return e.metrics }
 // estimators). Call before issuing queries, not concurrently with them.
 func (e *BiPushEstimator) SetMetrics(m *obs.Metrics) { e.metrics = m }
 
-// Reseed resets the estimator's random stream, making subsequent queries a
-// deterministic function of rng regardless of prior use.
-func (e *BiPushEstimator) Reseed(rng *randx.RNG) { e.rng = rng }
+// Reseed sets the seed that keys the walks of subsequent queries: each
+// answer is a function of the seed and the pair alone.
+func (e *BiPushEstimator) Reseed(seed uint64) { e.seed = seed }
 
-// biPushSide is one endpoint's push outcome with its residuals copied out,
-// and the correction walks sampled from them so far.
+// biPushSide is one endpoint's push outcome with its residuals copied out.
 type biPushSide struct {
 	tauToS, tauToT float64 // τ(side, s) and τ(side, t); corrected by Finish
 	stats          PushStats
 	nodes          []int32   // residual vertices
 	cum            []float64 // cumulative residual mass over nodes
 	total          float64   // ‖res‖₁ as summed into cum; 0 if no walks
-	walks          int       // correction walks reported
-	visS, visT     float64
-	steps          int64
-	hits           int // correction walks absorbed at the landmark
-	truncated      bool
 }
 
 // push runs the side's push from src and copies out what its correction
@@ -139,25 +134,24 @@ func (sd *biPushSide) push(ctx context.Context, p *Pusher, src, s, t int, o BiPu
 }
 
 // biPushQuery is one BiPush query between its phases: StartPair ran both
-// pushes, its correction walks run as a walk.Job (from s's residuals, then
-// from t's, each start drawn from the query's stream right before its
-// walk), and Finish combines the corrected τ terms.
+// pushes, its correction walks run as a PairJob (side 0 from s's
+// residuals, side 1 from t's, each walk's start drawn from that walk's own
+// stream), and Finish combines the corrected τ terms.
 type biPushQuery struct {
-	e           *BiPushEstimator
-	start       time.Time
-	s, t        int
-	o           BiPushOptions
-	rng         *randx.RNG
-	fi          *faultinject.Hook // fired once per correction walk
-	sides       [2]biPushSide     // pushed from s, then from t
-	side, begun int               // the side walking, and its walks begun
-	err         error
+	e     *BiPushEstimator
+	start time.Time
+	s, t  int // s < t
+	o     BiPushOptions
+	key   uint64            // the pair's stream key
+	fi    *faultinject.Hook // fired once per correction walk
+	sides [2]biPushSide     // pushed from s, then from t
+	pairWalks
 }
 
 // StartPair validates the query and runs both pushes, from s and then from
-// t. The returned job draws from the estimator's current stream and keeps
-// it: a later Reseed gives the next query a new one and leaves this job's
-// alone.
+// t, for s < t: (s, t) and (t, s) are one query. The returned job is keyed
+// by the estimator's current seed and keeps it: a later Reseed gives the
+// next query a new one and leaves this job's alone.
 func (e *BiPushEstimator) StartPair(ctx context.Context, s, t int) (PairJob, error) {
 	start := time.Now()
 	g := e.pusher.g
@@ -168,15 +162,19 @@ func (e *BiPushEstimator) StartPair(ctx context.Context, s, t int) (PairJob, err
 	if s == t {
 		return Answered(Estimate{Converged: true}), nil
 	}
-	q := &biPushQuery{e: e, start: start, s: s, t: t, o: e.opts.withDefaults(g.N()), rng: e.rng}
+	s, t = canonical(s, t)
+	q := &biPushQuery{e: e, start: start, s: s, t: t, o: e.opts.withDefaults(g.N()), key: pairKey(e.seed, s, t)}
 	if err := cancel.Check(ctx); err != nil {
 		e.metrics.ObserveQuery(obs.QueryObservation{Duration: time.Since(start), Canceled: true})
 		return nil, err
 	}
 	for i, src := range []int{s, t} {
 		if err := q.sides[i].push(ctx, e.pusher, src, s, t, q.o); err != nil {
-			q.observeAbort(q.sides[:i+1], err)
+			q.observeAbort(q.sides[:i+1], tally{}, err)
 			return nil, err
+		}
+		if q.sides[i].total > 0 {
+			q.n[i] = q.o.Walks
 		}
 	}
 	// Fault hook, fired once per residual-correction walk; nil unless armed.
@@ -184,50 +182,30 @@ func (e *BiPushEstimator) StartPair(ctx context.Context, s, t int) (PairJob, err
 	return q, nil
 }
 
-// Next implements walk.Job: the next correction walk, its start drawn
-// from the side's residual distribution.
-func (q *biPushQuery) Next() (walk.Walk, bool) {
-	for ; q.side < len(q.sides) && q.err == nil; q.side, q.begun = q.side+1, 0 {
-		sd := &q.sides[q.side]
-		if sd.total <= 0 || q.begun == q.o.Walks {
-			continue
-		}
-		if err := q.fi.Fire(); err != nil {
-			q.err = err
-			break
-		}
-		q.begun++
-		idx := sort.SearchFloat64s(sd.cum, q.rng.Float64()*sd.total)
-		if idx >= len(sd.nodes) {
-			idx = len(sd.nodes) - 1
-		}
-		return walk.Walk{Src: int(sd.nodes[idx]), V: q.e.pusher.landmark, A: q.s, B: q.t, MaxSteps: q.o.MaxSteps, RNG: q.rng}, true
-	}
-	return walk.Walk{}, false
-}
+// Shards implements PairJob.
+func (q *biPushQuery) Shards(n int) []walk.Job { return q.split(q, n) }
 
-// Done implements walk.Job.
-func (q *biPushQuery) Done(nS, nT, steps int, absorbed bool) {
-	sd := &q.sides[q.side]
-	sd.visS += float64(nS)
-	sd.visT += float64(nT)
-	sd.steps += int64(steps)
-	sd.walks++
-	if absorbed {
-		sd.hits++
-	} else {
-		sd.truncated = true
+// walk implements walkSource: walk k of side, its start drawn from the
+// side's residual distribution on the walk's own stream.
+func (q *biPushQuery) walk(side, k int, rng *randx.RNG) (walk.Walk, error) {
+	if err := q.fi.Fire(); err != nil {
+		return walk.Walk{}, err
 	}
+	rng.Seed(walkKey(q.key, side, k))
+	sd := &q.sides[side]
+	idx := sort.SearchFloat64s(sd.cum, rng.Float64()*sd.total)
+	if idx >= len(sd.nodes) {
+		idx = len(sd.nodes) - 1
+	}
+	return walk.Walk{Src: int(sd.nodes[idx]), V: q.e.pusher.landmark, A: q.s, B: q.t, MaxSteps: q.o.MaxSteps}, nil
 }
 
 // observeAbort records the partial push and walk work of a failed query.
-func (q *biPushQuery) observeAbort(sides []biPushSide, err error) {
-	ob := obs.QueryObservation{Duration: time.Since(q.start)}
+func (q *biPushQuery) observeAbort(sides []biPushSide, walked tally, err error) {
+	ob := obs.QueryObservation{Duration: time.Since(q.start), Walks: int64(walked.walks), WalkSteps: walked.steps}
 	for _, side := range sides {
 		ob.PushOps += side.stats.Ops
 		ob.Pushes += side.stats.Pushes
-		ob.Walks += int64(side.walks)
-		ob.WalkSteps += side.steps
 	}
 	if errors.Is(err, cancel.ErrCanceled) {
 		ob.Canceled = true
@@ -240,19 +218,23 @@ func (q *biPushQuery) observeAbort(sides []biPushSide, err error) {
 // Finish implements PairJob: each side's τ terms corrected by its mean
 // walk visits times ‖res‖₁, combined by the landmark identity.
 func (q *biPushQuery) Finish(runErr error) (Estimate, error) {
-	if q.err == nil {
-		q.err = runErr
+	t, err := q.totals()
+	if err == nil {
+		err = runErr
 	}
-	if q.err != nil {
-		q.observeAbort(q.sides[:], q.err)
-		return Estimate{}, q.err
+	if err != nil {
+		walked := t[0]
+		walked.add(t[1])
+		q.observeAbort(q.sides[:], walked, err)
+		return Estimate{}, err
 	}
 	fromS, fromT := &q.sides[0], &q.sides[1]
-	for _, sd := range []*biPushSide{fromS, fromT} {
+	for i, sd := range []*biPushSide{fromS, fromT} {
 		if sd.total > 0 {
+			// Every correction walk watches A = s and B = t.
 			scale := sd.total / float64(q.o.Walks)
-			sd.tauToS += sd.visS * scale
-			sd.tauToT += sd.visT * scale
+			sd.tauToS += float64(t[i].na) * scale
+			sd.tauToT += float64(t[i].nb) * scale
 		}
 	}
 	g := q.e.pusher.g
@@ -263,15 +245,16 @@ func (q *biPushQuery) Finish(runErr error) (Estimate, error) {
 	if val < 0 {
 		val = 0
 	}
+	walks, hits := t[0].walks+t[1].walks, t[0].hits+t[1].hits
 	est := Estimate{
 		Value:        val,
-		Walks:        fromS.walks + fromT.walks,
-		WalkSteps:    fromS.steps + fromT.steps,
+		Walks:        walks,
+		WalkSteps:    t[0].steps + t[1].steps,
 		PushOps:      fromS.stats.Ops + fromT.stats.Ops,
-		LandmarkHits: fromS.hits + fromT.hits,
+		LandmarkHits: hits,
 		ResidualL1:   fromS.stats.ResidualL1 + fromT.stats.ResidualL1,
 		Duration:     time.Since(q.start),
-		Converged:    fromS.stats.Converged && fromT.stats.Converged && !fromS.truncated && !fromT.truncated,
+		Converged:    fromS.stats.Converged && fromT.stats.Converged && hits == walks,
 	}
 	ob := est.observation()
 	ob.Pushes = fromS.stats.Pushes + fromT.stats.Pushes
@@ -288,8 +271,7 @@ func (e *BiPushEstimator) Pair(s, t int) (Estimate, error) {
 // few thousand edge relaxations and the correction walks every few thousand
 // steps, aborting with a cancel.Error once the context is done. The partial
 // push/walk work is recorded in the metrics as a canceled observation. With
-// a non-cancellable ctx the RNG stream and the estimate are byte-identical
-// to Pair.
+// a non-cancellable ctx the estimate is byte-identical to Pair.
 func (e *BiPushEstimator) PairContext(ctx context.Context, s, t int) (Estimate, error) {
 	q, err := e.StartPair(ctx, s, t)
 	if err != nil {

@@ -66,7 +66,7 @@ func TestAbWalkMatchesExact(t *testing.T) {
 	g := testBA(t, 200, 43)
 	rng := randx.New(9)
 	v, _ := SelectLandmark(g, MaxDegree, rng)
-	ab, err := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 30000}, rng)
+	ab, err := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 30000}, rng.Uint64())
 	if err != nil {
 		t.Fatalf("NewAbWalkEstimator: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestBiPushMatchesExact(t *testing.T) {
 	g := testBA(t, 300, 44)
 	rng := randx.New(11)
 	v, _ := SelectLandmark(g, MaxDegree, rng)
-	bp, err := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-2, Walks: 4000}, rng)
+	bp, err := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-2, Walks: 4000}, rng.Uint64())
 	if err != nil {
 		t.Fatalf("NewBiPushEstimator: %v", err)
 	}

@@ -28,11 +28,11 @@ type Estimate struct {
 	// ResidualL1 is the total ‖res‖₁ left by the push phase(s) at
 	// termination; 0 for pure Monte Carlo estimators.
 	ResidualL1 float64
-	// Duration is the query wall time. A batched query walks in lockstep
-	// with up to three other queries of its worker, so its Duration is its
-	// time in flight, shared with theirs: per-query latency (and the mean
-	// of Duration) can read higher while the batch as a whole finishes
-	// sooner.
+	// Duration is the query wall time. A batched query's walks share its
+	// worker's lanes with the last walks of the query before it, so its
+	// Duration is its time in flight, partly shared with that query's; in
+	// a batch smaller than the worker pool it also waits for the slowest
+	// worker's share of every query's walks.
 	Duration time.Duration
 	// Converged is false when a budget (MaxOps / MaxSteps) was exhausted
 	// before the accuracy target was met; Value is still the best

@@ -333,12 +333,11 @@ func buildDiagExact(g *graph.Graph, landmark int, diag []float64, opts IndexOpti
 }
 
 // buildDiagMC fills diag[t] with the absorbed-walk visit estimator,
-// sharded across the worker pool; each worker walks four of its vertices
-// at a time in the walk lanes. Every vertex gets its own random stream
-// derived from a root seed drawn once from rng — the same reseeding scheme
-// the pooled batch engine uses per worker — so the estimate for t is
-// independent of which worker samples it, of the worker count, and of
-// which vertices share its lanes. Walk work counters accumulate in
+// sharded across the worker pool; each worker fills its walk lanes with
+// one vertex's walks at a time. Walk k from vertex t draws from a stream
+// keyed by a root seed drawn once from rng, t and k, so the estimate for t
+// is independent of which worker samples it, of the worker count, and of
+// which walks share its lanes. Walk work counters accumulate in
 // worker-local sinks and merge into opts.Metrics at the end.
 func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions, workers int, rng *randx.RNG) error {
 	if rng == nil {
@@ -372,7 +371,7 @@ func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions
 				}
 				j := &diagMCJob{
 					t: t, landmark: landmark, walks: walks, maxSteps: maxSteps, deg: g.WeightedDegree(t),
-					rng: randx.New(root + uint64(t)*0x9e3779b97f4a7c15), diag: diag, metrics: local,
+					key: randx.Derive(root, uint64(t)), diag: diag, metrics: local,
 				}
 				t += workers
 				return j
@@ -386,36 +385,41 @@ func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions
 }
 
 // diagMCJob is one vertex t of a DiagMC build as a walk.Job: walks absorbed
-// walks from t to the landmark, counting visits to t, on t's own stream.
-// When its walks are over it writes diag[t] and its work counters.
+// walks from t to the landmark, counting visits to t, walk k on the stream
+// keyed by (key, k). Once its walks are over it writes diag[t] and its
+// work counters.
 type diagMCJob struct {
 	t, landmark, walks, maxSteps int
 	deg                          float64 // t's weighted degree
-	rng                          *randx.RNG
+	key                          uint64
 	begun                        int
 	visits, steps, truncated     int64
 	diag                         []float64
 	metrics                      *obs.Metrics
 }
 
-func (j *diagMCJob) Next() (walk.Walk, bool) {
+func (j *diagMCJob) Next(rng *randx.RNG) (walk.Walk, bool) {
 	if j.begun == j.walks {
-		j.metrics.Walks.Add(int64(j.walks))
-		j.metrics.WalkSteps.Add(j.steps)
-		j.metrics.TruncatedWalks.Add(j.truncated)
-		j.diag[j.t] = float64(j.visits) / (float64(j.walks) * j.deg)
 		return walk.Walk{}, false
 	}
+	rng.Seed(randx.Derive(j.key, uint64(j.begun)))
 	j.begun++
-	return walk.Walk{Src: j.t, V: j.landmark, A: j.t, B: -1, MaxSteps: j.maxSteps, RNG: j.rng}, true
+	return walk.Walk{Src: j.t, V: j.landmark, A: j.t, B: -1, MaxSteps: j.maxSteps}, true
 }
 
-func (j *diagMCJob) Done(nt, _, steps int, absorbed bool) {
+func (j *diagMCJob) Done(_, nt, _, steps int, absorbed bool) {
 	j.visits += int64(nt)
 	j.steps += int64(steps)
 	if !absorbed {
 		j.truncated++
 	}
+}
+
+func (j *diagMCJob) Over() {
+	j.metrics.Walks.Add(int64(j.walks))
+	j.metrics.WalkSteps.Add(j.steps)
+	j.metrics.TruncatedWalks.Add(j.truncated)
+	j.diag[j.t] = float64(j.visits) / (float64(j.walks) * j.deg)
 }
 
 // MemoryBytes reports the index footprint.

@@ -22,7 +22,7 @@ func TestAbWalkUnbiasedAcrossSeeds(t *testing.T) {
 	var grand float64
 	const reps = 20
 	for i := 0; i < reps; i++ {
-		ab, err := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 500}, randx.New(uint64(1000+i)))
+		ab, err := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 500}, uint64(1000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestAbWalkCIContainsTruth(t *testing.T) {
 	hits := 0
 	const reps = 20
 	for i := 0; i < reps; i++ {
-		ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 400}, randx.New(uint64(2000+i)))
+		ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 400}, uint64(2000+i))
 		est, half, err := ab.PairWithCI(s, u)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestAbWalkTruncationReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, _ := NewAbWalkEstimator(g, 0, AbWalkOptions{Walks: 10, MaxSteps: 3}, randx.New(3))
+	ab, _ := NewAbWalkEstimator(g, 0, AbWalkOptions{Walks: 10, MaxSteps: 3}, 3)
 	est, err := ab.Pair(150, 399)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +81,10 @@ func TestAbWalkTruncationReported(t *testing.T) {
 
 func TestAbWalkValidation(t *testing.T) {
 	g := testBA(t, 50, 72)
-	if _, err := NewAbWalkEstimator(g, 999, AbWalkOptions{}, randx.New(1)); err == nil {
+	if _, err := NewAbWalkEstimator(g, 999, AbWalkOptions{}, 1); err == nil {
 		t.Error("invalid landmark accepted")
 	}
-	ab, _ := NewAbWalkEstimator(g, 3, AbWalkOptions{Walks: 10}, randx.New(1))
+	ab, _ := NewAbWalkEstimator(g, 3, AbWalkOptions{Walks: 10}, 1)
 	if _, err := ab.Pair(3, 10); err != ErrLandmarkConflict {
 		t.Errorf("Pair(landmark,.) = %v", err)
 	}
@@ -106,7 +106,7 @@ func TestBiPushZeroWalksEqualsPush(t *testing.T) {
 		s, u = 8, 101
 	}
 	theta := 1e-3
-	bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: theta, Walks: -1}, randx.New(1))
+	bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: theta, Walks: -1}, 1)
 	got, err := bp.Pair(s, u)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestBiPushUnbiasedAcrossSeeds(t *testing.T) {
 	var grand float64
 	const reps = 20
 	for i := 0; i < reps; i++ {
-		bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 5e-2, Walks: 300}, randx.New(uint64(3000+i)))
+		bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 5e-2, Walks: 300}, uint64(3000+i))
 		est, err := bp.Pair(s, u)
 		if err != nil {
 			t.Fatal(err)
@@ -171,12 +171,12 @@ func TestBiPushVarianceBelowAbWalk(t *testing.T) {
 	}
 	walks := 400
 	sdAb := spread(func(seed uint64) float64 {
-		ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: walks}, randx.New(seed))
+		ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: walks}, seed)
 		est, _ := ab.Pair(s, u)
 		return est.Value
 	})
 	sdBi := spread(func(seed uint64) float64 {
-		bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-3, Walks: walks}, randx.New(seed))
+		bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-3, Walks: walks}, seed)
 		est, _ := bp.Pair(s, u)
 		return est.Value
 	})
@@ -187,7 +187,7 @@ func TestBiPushVarianceBelowAbWalk(t *testing.T) {
 
 func TestBiPushValidation(t *testing.T) {
 	g := testBA(t, 50, 76)
-	bp, err := NewBiPushEstimator(g, 3, BiPushOptions{}, randx.New(1))
+	bp, err := NewBiPushEstimator(g, 3, BiPushOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestBiPushValidation(t *testing.T) {
 	if est, err := bp.Pair(8, 8); err != nil || est.Value != 0 {
 		t.Errorf("Pair(s,s) = %v, %v", est.Value, err)
 	}
-	if _, err := NewBiPushEstimator(g, -2, BiPushOptions{}, randx.New(1)); err == nil {
+	if _, err := NewBiPushEstimator(g, -2, BiPushOptions{}, 1); err == nil {
 		t.Error("invalid landmark accepted")
 	}
 	if bp.Landmark() != 3 {
@@ -221,7 +221,7 @@ func TestEstimatorsAgreeOnWeightedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 20000}, rng)
+	ab, _ := NewAbWalkEstimator(g, v, AbWalkOptions{Walks: 20000}, rng.Uint64())
 	estAb, err := ab.Pair(s, u)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestEstimatorsAgreeOnWeightedGraph(t *testing.T) {
 	if math.Abs(estAb.Value-want) > 0.05*math.Max(want, 0.2) {
 		t.Errorf("weighted AbWalk = %v, want %v", estAb.Value, want)
 	}
-	bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-3, Walks: 2000}, rng)
+	bp, _ := NewBiPushEstimator(g, v, BiPushOptions{PushTheta: 1e-3, Walks: 2000}, rng.Uint64())
 	estBp, err := bp.Pair(s, u)
 	if err != nil {
 		t.Fatal(err)

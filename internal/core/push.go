@@ -302,6 +302,7 @@ func (e *PushEstimator) PairContext(ctx context.Context, s, t int) (Estimate, er
 	if s == t {
 		return Estimate{Converged: true}, nil
 	}
+	s, t = canonical(s, t) // one answer per pair, whichever way it is asked
 	ds, dt := g.WeightedDegree(s), g.WeightedDegree(t)
 
 	canceled := func(ops, pushes int64, cause error) (Estimate, error) {

@@ -186,7 +186,7 @@ func settingsFor(g *graph.Graph, kappa float64, seed uint64) ([]AlgoSetting, err
 				e := est[lm]
 				if e == nil {
 					var err error
-					e, err = core.NewAbWalkEstimator(g, lm, core.AbWalkOptions{Walks: walks}, rng.Split())
+					e, err = core.NewAbWalkEstimator(g, lm, core.AbWalkOptions{Walks: walks}, rng.Uint64())
 					if err != nil {
 						return 0, err
 					}
@@ -233,7 +233,7 @@ func settingsFor(g *graph.Graph, kappa float64, seed uint64) ([]AlgoSetting, err
 				if e == nil {
 					var err error
 					e, err = core.NewBiPushEstimator(g, lm,
-						core.BiPushOptions{PushTheta: 1e-2, Walks: walks, MaxOps: 1 << 28}, rng.Split())
+						core.BiPushOptions{PushTheta: 1e-2, Walks: walks, MaxOps: 1 << 28}, rng.Uint64())
 					if err != nil {
 						return 0, err
 					}
@@ -500,7 +500,7 @@ func ExpScalability(cfg ExpConfig) error {
 				}
 				return time.Since(start) / time.Duration(len(queries))
 			}
-			ab, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 400}, rng.Split())
+			ab, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 400}, rng.Uint64())
 			if err != nil {
 				return err
 			}
@@ -508,7 +508,7 @@ func ExpScalability(cfg ExpConfig) error {
 			if err != nil {
 				return err
 			}
-			bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256, MaxOps: 1 << 28}, rng.Split())
+			bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256, MaxOps: 1 << 28}, rng.Uint64())
 			if err != nil {
 				return err
 			}
@@ -564,8 +564,8 @@ func ExpMemory(cfg ExpConfig) error {
 			algo, precision string
 			fn              func()
 		}
-		ab, _ := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 200}, rng.Split())
-		abHi, _ := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 2000}, rng.Split())
+		ab, _ := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 200}, rng.Uint64())
+		abHi, _ := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: 2000}, rng.Uint64())
 		pu, _ := core.NewPushEstimator(g, v, core.PushOptions{Theta: 1e-4, MaxOps: 1 << 28})
 		puHi, _ := core.NewPushEstimator(g, v, core.PushOptions{Theta: 1e-6, MaxOps: 1 << 28})
 		probes := []probe{
@@ -621,7 +621,7 @@ func ExpLandmark(cfg ExpConfig) error {
 			if err != nil {
 				return err
 			}
-			bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256, MaxOps: 1 << 28}, rng.Split())
+			bp, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: 256, MaxOps: 1 << 28}, rng.Uint64())
 			if err != nil {
 				return err
 			}
@@ -679,7 +679,7 @@ func ExpStability(cfg ExpConfig) error {
 		var settings []AlgoSetting
 		for _, walks := range []int{50, 100, 200, 400, 800, 1600, 3200} {
 			walks := walks
-			e, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: walks}, rng.Split())
+			e, err := core.NewAbWalkEstimator(g, v, core.AbWalkOptions{Walks: walks}, rng.Uint64())
 			if err != nil {
 				return err
 			}
@@ -699,7 +699,7 @@ func ExpStability(cfg ExpConfig) error {
 			})
 		}
 		for _, walks := range []int{32, 64, 128, 256, 512, 1024, 2048} {
-			e, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: walks, MaxOps: 1 << 28}, rng.Split())
+			e, err := core.NewBiPushEstimator(g, v, core.BiPushOptions{PushTheta: 1e-2, Walks: walks, MaxOps: 1 << 28}, rng.Uint64())
 			if err != nil {
 				return err
 			}

@@ -28,6 +28,7 @@ type GroundedBlockSolver struct {
 	Metrics *obs.Metrics
 
 	precond linalg.Preconditioner
+	jacobi  *linalg.JacobiPreconditioner // the default preconditioner
 	rhs     [][]float64
 	x       [][]float64
 	work    linalg.BlockCGWorkspace
@@ -48,11 +49,29 @@ func NewGroundedBlockSolver(g *graph.Graph, landmark int, k int) *GroundedBlockS
 	}
 	inv[landmark] = 1 // pinned coordinate, matching Grounded.Diagonal
 	s := &GroundedBlockSolver{
-		Op:      Grounded{G: g, Landmark: landmark},
-		precond: &linalg.JacobiPreconditioner{InvDiag: inv},
+		Op:     Grounded{G: g, Landmark: landmark},
+		jacobi: &linalg.JacobiPreconditioner{InvDiag: inv},
 	}
+	s.precond = s.jacobi
 	s.grow(k, n)
 	return s
+}
+
+// Reground moves the solver to landmark v, keeping its buffers: its solves
+// are then bit for bit those of a new NewGroundedBlockSolver(g, v, k). It
+// needs the default Jacobi preconditioner, which it re-pins at v; it
+// panics on a solver given another one by SetPreconditioner.
+func (s *GroundedBlockSolver) Reground(v int) {
+	if s.precond != s.jacobi {
+		panic("lap: Reground of a block solver with a custom preconditioner")
+	}
+	old, inv := s.Op.Landmark, s.jacobi.InvDiag
+	inv[old] = 1
+	if d := s.Op.G.WeightedDegree(old); d > 0 {
+		inv[old] = 1 / d
+	}
+	inv[v] = 1
+	s.Op.Landmark = v
 }
 
 // SetPreconditioner replaces the solver's preconditioner (Jacobi by

@@ -198,6 +198,41 @@ func TestGroundedBlockSolverSolveRHS(t *testing.T) {
 	}
 }
 
+// TestGroundedBlockSolverReground: one solver moved between grounds (as
+// the batch engine's free list moves it between blocks) answers every
+// block bit for bit as a fresh ResistanceBatchCG at that ground.
+func TestGroundedBlockSolverReground(t *testing.T) {
+	g, err := graph.BarabasiAlbert(80, 3, randx.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []struct {
+		ground int
+		pairs  [][2]int
+	}{
+		{0, [][2]int{{1, 2}, {5, 40}, {10, 79}}},
+		{1, [][2]int{{0, 2}, {0, 60}}}, // pairs touching vertex 0 ground at 1
+		{0, [][2]int{{3, 33}, {7, 70}, {2, 50}, {11, 12}}},
+	}
+	s := NewGroundedBlockSolver(g, blocks[0].ground, 4)
+	for i, b := range blocks {
+		s.Reground(b.ground)
+		got, gotErrs, err := s.Resistances(context.Background(), b.pairs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ResistanceBatchCG(context.Background(), g, b.ground, b.pairs, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range b.pairs {
+			if gotErrs[k] != nil || math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("block %d pair %v: %v (%v), fresh solver %v", i, b.pairs[k], got[k], gotErrs[k], want[k])
+			}
+		}
+	}
+}
+
 // TestResistanceBatchCGMatchesSingle: the grouped exact batch must agree with
 // per-pair ResistanceCG bit for bit when the pairs share a grounding vertex,
 // and must report per-pair errors without failing the batch.

@@ -80,10 +80,8 @@ func GroundVertex(g *graph.Graph, s, t int) int { return pickGround(g, s, t) }
 // ground, and s != t), using one block CG solve — one operator sweep per
 // iteration across all pairs instead of one solve per pair. Every returned
 // value is bit-for-bit what ResistanceCGContext would produce for that pair.
-// The solve holds three n-vectors per pair at once (the right-hand side,
-// the solver's staged copy and the solution) beside the block solver's
-// four interleaved n-vectors per lane (at most 4·8), so callers bound
-// len(pairs).
+// It is the one-shot form of GroundedBlockSolver.Resistances: callers that
+// answer batch after batch keep a solver and reuse its buffers.
 //
 // errs[i] carries a per-pair failure (invalid vertex, breakdown,
 // non-convergence); err is reserved for whole-batch failures — a
@@ -91,6 +89,18 @@ func GroundVertex(g *graph.Graph, s, t int) int { return pickGround(g, s, t) }
 // ExactTol. The block solve records into m (nil means the package
 // SolverMetrics).
 func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs [][2]int, tol float64, m *obs.Metrics) (values []float64, errs []error, err error) {
+	s := NewGroundedBlockSolver(g, ground, len(pairs))
+	s.Metrics = m
+	return s.Resistances(ctx, pairs, tol)
+}
+
+// Resistances is ResistanceBatchCG on the solver: r(s,t) for pairs that
+// ground at the solver's landmark. Each pair's right-hand side e_s − e_t is
+// written straight into the solver's staging, so beside the solver's own
+// buffers (two n-vectors per pair and four interleaved n-vectors per lane,
+// at most 4·8) a solve allocates nothing of size n; callers bound
+// len(pairs).
+func (s *GroundedBlockSolver) Resistances(ctx context.Context, pairs [][2]int, tol float64) (values []float64, errs []error, err error) {
 	if tol <= 0 {
 		tol = ExactTol
 	}
@@ -99,39 +109,38 @@ func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs []
 	if len(pairs) == 0 {
 		return values, errs, nil
 	}
+	g, ground := s.Op.G, s.Op.Landmark
 	if !g.IsConnected() {
 		return nil, nil, graph.ErrNotConnected
 	}
 	// Validate up front; invalid pairs get their error and drop out of the
 	// block, valid ones keep their batch position via cols.
 	cols := make([]int, 0, len(pairs))
-	bs := make([][]float64, 0, len(pairs))
-	n := g.N()
 	for i, pr := range pairs {
-		s, t := pr[0], pr[1]
-		if verr := validatePair(g, s, t); verr != nil {
+		a, b := pr[0], pr[1]
+		if verr := validatePair(g, a, b); verr != nil {
 			errs[i] = verr
 			continue
 		}
-		if s == t {
+		if a == b {
 			continue // values[i] stays 0
 		}
-		if pickGround(g, s, t) != ground {
-			errs[i] = fmt.Errorf("lap: pair (%d,%d) grounds at %d, not %d", s, t, pickGround(g, s, t), ground)
+		if pickGround(g, a, b) != ground {
+			errs[i] = fmt.Errorf("lap: pair (%d,%d) grounds at %d, not %d", a, b, pickGround(g, a, b), ground)
 			continue
 		}
-		b := make([]float64, n)
-		b[s] = 1
-		b[t] = -1
 		cols = append(cols, i)
-		bs = append(bs, b)
 	}
 	if len(cols) == 0 {
 		return values, errs, nil
 	}
-	solver := NewGroundedBlockSolver(g, ground, len(cols))
-	solver.Metrics = m
-	xs, _, colErrs, serr := solver.SolveRHS(ctx, bs, tol)
+	s.grow(len(cols), g.N())
+	for c, i := range cols {
+		rhs := s.rhs[c]
+		linalg.Zero(rhs)
+		rhs[pairs[i][0]], rhs[pairs[i][1]] = 1, -1
+	}
+	xs, _, colErrs, serr := s.run(ctx, len(cols), tol)
 	if serr != nil {
 		return nil, nil, fmt.Errorf("lap: exact resistance solve failed: %w", serr)
 	}
@@ -140,8 +149,7 @@ func ResistanceBatchCG(ctx context.Context, g *graph.Graph, ground int, pairs []
 			errs[i] = fmt.Errorf("lap: exact resistance solve failed: %w", colErrs[c])
 			continue
 		}
-		s, t := pairs[i][0], pairs[i][1]
-		values[i] = xs[c][s] - xs[c][t]
+		values[i] = xs[c][pairs[i][0]] - xs[c][pairs[i][1]]
 	}
 	return values, errs, nil
 }

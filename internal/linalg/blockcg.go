@@ -535,16 +535,21 @@ func projectDot[L Lanes](ap, p []float64, m *perLane) perLane {
 }
 
 // updateSum steps x += α·p and r += (−α)·ap, as CG's two Axpy calls, and
-// returns the lane sums of the new r.
+// returns the lane sums of the new r. A row is read in slices of at most
+// four lanes, as laplacianSweepBlock reads a neighbour's: the second
+// slices' bounds checks keep the eight-lane loop from scheduling all eight
+// updates before any sum, which spills accumulators and α values to the
+// stack.
 func updateSum[L Lanes](x, r, p, ap []float64, alpha *perLane) perLane {
 	w := width[L]()
+	quad := min(w, 4)
 	a0, a1, a2, a3, a4, a5, a6, a7 := alpha[0], alpha[1], alpha[2], alpha[3], alpha[4], alpha[5], alpha[6], alpha[7]
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for o := 0; o < len(x); o += w {
-		xs := x[o : o+w : o+w]
-		ps := p[o : o+w : o+w]
-		rs := r[o : o+w : o+w]
-		as := ap[o : o+w : o+w]
+		xs := x[o : o+quad : o+quad]
+		ps := p[o : o+quad : o+quad]
+		rs := r[o : o+quad : o+quad]
+		as := ap[o : o+quad : o+quad]
 		xs[0] += a0 * ps[0]
 		r0 := rs[0] + -a0*as[0]
 		rs[0] = r0
@@ -562,24 +567,28 @@ func updateSum[L Lanes](x, r, p, ap []float64, alpha *perLane) perLane {
 			r3 := rs[3] + -a3*as[3]
 			rs[3] = r3
 			s3 += r3
-			if w > 4 {
-				xs[4] += a4 * ps[4]
-				r4 := rs[4] + -a4*as[4]
-				rs[4] = r4
-				s4 += r4
-				xs[5] += a5 * ps[5]
-				r5 := rs[5] + -a5*as[5]
-				rs[5] = r5
-				s5 += r5
-				xs[6] += a6 * ps[6]
-				r6 := rs[6] + -a6*as[6]
-				rs[6] = r6
-				s6 += r6
-				xs[7] += a7 * ps[7]
-				r7 := rs[7] + -a7*as[7]
-				rs[7] = r7
-				s7 += r7
-			}
+		}
+		if w > 4 {
+			xs := x[o+4 : o+8 : o+8]
+			ps := p[o+4 : o+8 : o+8]
+			rs := r[o+4 : o+8 : o+8]
+			as := ap[o+4 : o+8 : o+8]
+			xs[0] += a4 * ps[0]
+			r4 := rs[0] + -a4*as[0]
+			rs[0] = r4
+			s4 += r4
+			xs[1] += a5 * ps[1]
+			r5 := rs[1] + -a5*as[1]
+			rs[1] = r5
+			s5 += r5
+			xs[2] += a6 * ps[2]
+			r6 := rs[2] + -a6*as[2]
+			rs[2] = r6
+			s6 += r6
+			xs[3] += a7 * ps[3]
+			r7 := rs[3] + -a7*as[3]
+			rs[3] = r7
+			s7 += r7
 		}
 	}
 	return perLane{s0, s1, s2, s3, s4, s5, s6, s7}
@@ -639,15 +648,17 @@ func updateNorm[L Lanes](x, r, p, ap []float64, alpha *perLane) perLane {
 // projectPrecondition subtracts each lane's mean from r and returns the
 // lane sums of z = d·r and ‖r‖²: ProjectOutConstant(r), the Jacobi apply,
 // Sum(z) and the next iteration's Norm2(r). With m zero it only takes the
-// sums, since r − 0 is r.
+// sums, since r − 0 is r. A row is read in two four-lane slices, as in
+// updateSum.
 func projectPrecondition[L Lanes](r, d []float64, m *perLane) (sz, rr perLane) {
 	w := width[L]()
+	quad := min(w, 4)
 	m0, m1, m2, m3, m4, m5, m6, m7 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]
 	var q0, q1, q2, q3, q4, q5, q6, q7 float64
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	for i, di := range d {
 		o := i * w
-		rs := r[o : o+w : o+w]
+		rs := r[o : o+quad : o+quad]
 		r0 := rs[0] - m0
 		rs[0] = r0
 		s0 += float64(di * r0)
@@ -665,24 +676,25 @@ func projectPrecondition[L Lanes](r, d []float64, m *perLane) (sz, rr perLane) {
 			rs[3] = r3
 			s3 += float64(di * r3)
 			q3 += r3 * r3
-			if w > 4 {
-				r4 := rs[4] - m4
-				rs[4] = r4
-				s4 += float64(di * r4)
-				q4 += r4 * r4
-				r5 := rs[5] - m5
-				rs[5] = r5
-				s5 += float64(di * r5)
-				q5 += r5 * r5
-				r6 := rs[6] - m6
-				rs[6] = r6
-				s6 += float64(di * r6)
-				q6 += r6 * r6
-				r7 := rs[7] - m7
-				rs[7] = r7
-				s7 += float64(di * r7)
-				q7 += r7 * r7
-			}
+		}
+		if w > 4 {
+			rs := r[o+4 : o+8 : o+8]
+			r4 := rs[0] - m4
+			rs[0] = r4
+			s4 += float64(di * r4)
+			q4 += r4 * r4
+			r5 := rs[1] - m5
+			rs[1] = r5
+			s5 += float64(di * r5)
+			q5 += r5 * r5
+			r6 := rs[2] - m6
+			rs[2] = r6
+			s6 += float64(di * r6)
+			q6 += r6 * r6
+			r7 := rs[3] - m7
+			rs[3] = r7
+			s7 += float64(di * r7)
+			q7 += r7 * r7
 		}
 	}
 	return perLane{s0, s1, s2, s3, s4, s5, s6, s7}, perLane{q0, q1, q2, q3, q4, q5, q6, q7}

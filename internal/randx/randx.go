@@ -31,6 +31,13 @@ func splitmix64(state *uint64) uint64 {
 // New returns an RNG seeded deterministically from seed.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream New(seed) starts: the walk kernels
+// seed one generator per walk without allocating.
+func (r *RNG) Seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
@@ -40,7 +47,16 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
+}
+
+// Derive returns the stream key of child x under key: the splitmix64
+// output at state key + (x+1)·golden. For a fixed key it is a bijection of
+// x (an odd multiplier, then an invertible finalizer), so siblings never
+// share a key, and keys derived in a chain (seed, pair, side, walk) name
+// streams that are as independent as splitmix64-seeded xoshiro streams.
+func Derive(key, x uint64) uint64 {
+	st := key + x*0x9e3779b97f4a7c15
+	return splitmix64(&st)
 }
 
 // Split derives an independent generator from r. The derived stream is a

@@ -71,7 +71,7 @@ func BenchmarkWalkStep(b *testing.B) {
 				hub := g.MaxDegreeVertex()
 				queue := make([]*stepJob, jobs)
 				for i := range queue {
-					queue[i] = &stepJob{n: g.N(), v: hub, budget: b.N / jobs, rng: randx.New(uint64(i + 1))}
+					queue[i] = &stepJob{n: g.N(), v: hub, budget: b.N / jobs, seed: uint64(i + 1)}
 				}
 				b.ResetTimer()
 				if err := s.RunJobs(context.Background(), jobQueue(queue)); err != nil {
@@ -88,21 +88,28 @@ func BenchmarkWalkStep(b *testing.B) {
 	}
 }
 
-// stepJob walks from uniform starts to v until it has taken budget steps.
+// stepJob walks from uniform starts to v until it has taken budget steps,
+// each walk on its own stream. It hands out a walk while its reported
+// steps fall short of budget, so with several walks in flight it may
+// overshoot by their length; the benchmark divides by the steps taken.
 type stepJob struct {
 	n, v          int
 	budget, steps int
-	rng           *randx.RNG
+	seed          uint64
+	walks         int
 }
 
-func (j *stepJob) Next() (Walk, bool) {
+func (j *stepJob) Next(rng *randx.RNG) (Walk, bool) {
 	if j.steps >= j.budget {
 		return Walk{}, false
 	}
-	return Walk{Src: j.rng.Intn(j.n), V: j.v, A: -1, B: -1, MaxSteps: 1 << 30, RNG: j.rng}, true
+	rng.Seed(randx.Derive(j.seed, uint64(j.walks)))
+	j.walks++
+	return Walk{Src: rng.Intn(j.n), V: j.v, A: -1, B: -1, MaxSteps: 1 << 30}, true
 }
 
-func (j *stepJob) Done(_, _, steps int, _ bool) { j.steps += steps }
+func (j *stepJob) Done(_, _, _, steps int, _ bool) { j.steps += steps }
+func (j *stepJob) Over()                           {}
 
 // jobQueue hands out the jobs in order, then nil.
 func jobQueue[J Job](jobs []J) func() Job {

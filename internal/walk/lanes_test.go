@@ -3,6 +3,7 @@ package walk
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"landmarkrd/internal/cancel"
@@ -12,7 +13,8 @@ import (
 
 // laneSpec is one job of the lane property test: walks absorbed walks to
 // v watching a and b, each from src, or, with drawSrc, from a start the job
-// draws from its own stream right before the walk (as BiPush does).
+// draws from the walk's own stream before its first step (as BiPush does).
+// Walk k draws from the stream keyed randx.Derive(seed, k).
 type laneSpec struct {
 	src, v, a, b    int
 	maxSteps, walks int
@@ -25,45 +27,83 @@ type walkOutcome struct {
 	absorbed      bool
 }
 
-// specJob runs a laneSpec through RunJobs, recording every outcome.
-type specJob struct {
-	spec  laneSpec
-	n     int
-	rng   *randx.RNG
-	begun int
-	got   []walkOutcome
+// specRun records every walk of one laneSpec, whichever shard ran it.
+type specRun struct {
+	spec laneSpec
+	n    int
+	got  []walkOutcome
+	seen []int // reports per walk
 }
 
-func (j *specJob) Next() (Walk, bool) {
-	if j.begun == j.spec.walks {
+func newSpecRun(spec laneSpec, n int) *specRun {
+	return &specRun{spec: spec, n: n, got: make([]walkOutcome, spec.walks), seen: make([]int, spec.walks)}
+}
+
+// specJob is shard first of stride of a specRun: walks first, first+stride,
+// ... Shards of one run may run in concurrent RunJobs calls; each writes
+// only its own walks' entries.
+type specJob struct {
+	run           *specRun
+	next, stride  int
+	inFlight, ran int  // walks begun and not reported; walks reported
+	exhausted     bool // Next has returned false
+	overs         int  // Over calls
+	bad           string
+}
+
+func (r *specRun) shard(first, stride int) *specJob {
+	return &specJob{run: r, next: first, stride: stride}
+}
+
+func (j *specJob) Next(rng *randx.RNG) (Walk, bool) {
+	sp := j.run.spec
+	if j.exhausted {
+		j.bad = "Next called after it returned false"
+	}
+	if j.next >= sp.walks {
+		j.exhausted = true
 		return Walk{}, false
 	}
-	j.begun++
-	src := j.spec.src
-	if j.spec.drawSrc {
-		src = j.rng.Intn(j.n)
+	id := j.next
+	j.next += j.stride
+	j.inFlight++
+	rng.Seed(randx.Derive(sp.seed, uint64(id)))
+	src := sp.src
+	if sp.drawSrc {
+		src = rng.Intn(j.run.n)
 	}
-	return Walk{Src: src, V: j.spec.v, A: j.spec.a, B: j.spec.b, MaxSteps: j.spec.maxSteps, RNG: j.rng}, true
+	return Walk{ID: id, Src: src, V: sp.v, A: sp.a, B: sp.b, MaxSteps: sp.maxSteps}, true
 }
 
-func (j *specJob) Done(na, nb, steps int, absorbed bool) {
-	j.got = append(j.got, walkOutcome{na, nb, steps, absorbed})
+func (j *specJob) Done(id, na, nb, steps int, absorbed bool) {
+	j.inFlight--
+	j.ran++
+	j.run.got[id] = walkOutcome{na, nb, steps, absorbed}
+	j.run.seen[id]++
 }
 
-// sequential runs spec's walks one at a time through AbsorbedCounts on its
-// own copy of the job's stream, returning the outcomes and the stream.
-func sequential(s *Sampler, spec laneSpec) ([]walkOutcome, *randx.RNG) {
-	rng := randx.New(spec.seed)
+func (j *specJob) Over() {
+	if !j.exhausted || j.inFlight != 0 {
+		j.bad = "Over before every walk was reported"
+	}
+	j.overs++
+}
+
+// sequential runs spec's walks one at a time through AbsorbedCounts, each
+// on its own stream, returning the outcomes.
+func sequential(s *Sampler, spec laneSpec) []walkOutcome {
+	var rng randx.RNG
 	var out []walkOutcome
-	for i := 0; i < spec.walks; i++ {
+	for k := 0; k < spec.walks; k++ {
+		rng.Seed(randx.Derive(spec.seed, uint64(k)))
 		src := spec.src
 		if spec.drawSrc {
 			src = rng.Intn(s.Graph().N())
 		}
-		na, nb, steps, absorbed, _ := s.AbsorbedCounts(context.Background(), src, spec.v, spec.a, spec.b, spec.maxSteps, rng)
+		na, nb, steps, absorbed, _ := s.AbsorbedCounts(context.Background(), src, spec.v, spec.a, spec.b, spec.maxSteps, &rng)
 		out = append(out, walkOutcome{na, nb, steps, absorbed})
 	}
-	return out, rng
+	return out
 }
 
 func loadLaneCorpus(t *testing.T, name string) *graph.Graph {
@@ -79,10 +119,12 @@ func loadLaneCorpus(t *testing.T, name string) *graph.Graph {
 // one: random mixes of 1–9 jobs with distinct streams, landmarks and
 // watched pairs, on unweighted and weighted corpus graphs and a graph
 // whose degrees are all powers of two, with step budgets small enough to
-// truncate, walks that start at their landmark, and a == b. Every job's
-// per-walk counts, steps and absorbed flags, and the draws it leaves in
-// its stream, must equal a one-walk-at-a-time AbsorbedCounts run on a copy
-// of the stream.
+// truncate, walks that start at their landmark, and a == b. Each job's
+// walks are dealt as shards to 1–3 concurrent RunJobs callers, and within
+// a caller one job's walks spread over 1–4 lanes (0–9 walks per job). Every
+// walk must be reported once, with the counts, steps and absorbed flag a
+// one-walk-at-a-time AbsorbedCounts run on its own stream gives, and every
+// shard must be over exactly once, after its last walk.
 func TestRunJobsMatchesSequential(t *testing.T) {
 	regular, err := graph.RandomRegular(128, 8, randx.New(3))
 	if err != nil {
@@ -107,7 +149,7 @@ func TestRunJobsMatchesSequential(t *testing.T) {
 			for i := range specs {
 				sp := laneSpec{
 					v: rng.Intn(n), a: rng.Intn(n), b: rng.Intn(n),
-					maxSteps: 1 << 20, walks: rng.Intn(7), drawSrc: rng.Intn(2) == 0, seed: seed,
+					maxSteps: 1 << 20, walks: rng.Intn(10), drawSrc: rng.Intn(2) == 0, seed: seed,
 				}
 				seed++
 				sp.src = rng.Intn(n)
@@ -123,81 +165,106 @@ func TestRunJobsMatchesSequential(t *testing.T) {
 				}
 				specs[i] = sp
 			}
-			jobs := make([]*specJob, len(specs))
+			callers := 1 + rng.Intn(3)
+			runs := make([]*specRun, len(specs))
+			shards := make([][]*specJob, callers)
 			for i, sp := range specs {
-				jobs[i] = &specJob{spec: sp, n: n, rng: randx.New(sp.seed)}
-			}
-			if err := s.RunJobs(context.Background(), jobQueue(jobs)); err != nil {
-				t.Fatal(err)
-			}
-			for i, j := range jobs {
-				want, wantRNG := sequential(s, j.spec)
-				if len(j.got) != len(want) {
-					t.Fatalf("%s trial %d job %d: %d walks, want %d", name, trial, i, len(j.got), len(want))
+				runs[i] = newSpecRun(sp, n)
+				for c := range shards {
+					shards[c] = append(shards[c], runs[i].shard(c, callers))
 				}
-				for k := range want {
-					if j.got[k] != want[k] {
-						t.Fatalf("%s trial %d job %d (%+v) walk %d: %+v, want %+v", name, trial, i, j.spec, k, j.got[k], want[k])
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, callers)
+			for c := range shards {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[c] = s.RunJobs(context.Background(), jobQueue(shards[c]))
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c := range shards {
+				for i, j := range shards[c] {
+					if j.bad != "" || j.overs != 1 {
+						t.Fatalf("%s trial %d job %d shard %d/%d: %s, Over called %d times", name, trial, i, c, callers, j.bad, j.overs)
 					}
 				}
-				if j.rng.Uint64() != wantRNG.Uint64() {
-					t.Fatalf("%s trial %d job %d: stream consumed differently", name, trial, i)
+			}
+			for i, r := range runs {
+				want := sequential(s, r.spec)
+				for k := range want {
+					if r.seen[k] != 1 || r.got[k] != want[k] {
+						t.Fatalf("%s trial %d job %d (%+v) walk %d: reported %d times, %+v, want %+v", name, trial, i, r.spec, k, r.seen[k], r.got[k], want[k])
+					}
 				}
 			}
 		}
 	}
 }
 
-// cancelingJob is a specJob that cancels its context as it begins walk
-// number at (counting from 1).
+// cancelingJob is a specJob that cancels its context as its walks are
+// reported.
 type cancelingJob struct {
 	*specJob
-	at   int
 	stop context.CancelFunc
 }
 
-func (j cancelingJob) Next() (Walk, bool) {
-	if j.begun+1 == j.at {
-		j.stop()
-	}
-	return j.specJob.Next()
+func (j cancelingJob) Done(id, na, nb, steps int, absorbed bool) {
+	j.stop()
+	j.specJob.Done(id, na, nb, steps, absorbed)
 }
 
 // TestRunJobsCanceled: a canceled context stops RunJobs before any step,
-// with every walk in flight reported to its job; a lone walk, which
-// finishes in AbsorbedCounts, is stopped and reported the same way.
+// with every walk in flight reported to its job and no job over; a lone
+// walk, which finishes in AbsorbedCounts, is stopped and reported the same
+// way.
 func TestRunJobsCanceled(t *testing.T) {
 	g := loadLaneCorpus(t, "grid_14x14.edges")
 	s := NewSampler(g)
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
-	jobs := make([]*specJob, 6)
+	jobs := make([]*specJob, 3)
 	for i := range jobs {
-		jobs[i] = &specJob{spec: laneSpec{src: i + 1, v: 0, a: -1, b: -1, maxSteps: 1 << 20, walks: 3}, n: g.N(), rng: randx.New(uint64(i))}
+		jobs[i] = newSpecRun(laneSpec{src: i + 1, v: 0, a: -1, b: -1, maxSteps: 1 << 20, walks: 3, seed: uint64(i)}, g.N()).shard(0, 1)
 	}
 	err := s.RunJobs(ctx, jobQueue(jobs))
 	if !errors.Is(err, cancel.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	for i, j := range jobs {
-		wantWalks := 0
-		if i < Lanes {
-			wantWalks = 1
+	// One job fills the lanes: its three walks, then the next job's first.
+	for i, want := range []int{3, 1, 0} {
+		j := jobs[i]
+		if j.ran != want || j.inFlight != 0 || j.overs != 0 {
+			t.Errorf("job %d: %d walks reported, %d in flight, over %d times; want %d, 0, 0", i, j.ran, j.inFlight, j.overs, want)
 		}
-		if len(j.got) != wantWalks || (wantWalks == 1 && j.got[0] != walkOutcome{}) {
-			t.Errorf("job %d reported %+v, want %d empty walk(s)", i, j.got, wantWalks)
+		for k := 0; k < want; k++ {
+			if j.run.got[k] != (walkOutcome{}) {
+				t.Errorf("job %d walk %d reported %+v, want an empty walk", i, k, j.run.got[k])
+			}
 		}
 	}
 
+	// A one-step walk ends in the first round, after the long walk's first
+	// step, and cancels; the long walk, left alone, goes on in
+	// AbsorbedCounts, which sees the cancellation at its first poll.
 	ctx, stop = context.WithCancel(context.Background())
 	defer stop()
-	lone := &specJob{spec: laneSpec{src: 1, v: 0, a: 1, b: 2, maxSteps: 1 << 20, walks: 3, seed: 7}, n: g.N(), rng: randx.New(7)}
-	err = s.RunJob(ctx, cancelingJob{specJob: lone, at: 2, stop: stop})
+	short := newSpecRun(laneSpec{src: 1, v: 0, a: -1, b: -1, maxSteps: 1, walks: 1, seed: 7}, g.N()).shard(0, 1)
+	long := newSpecRun(laneSpec{src: 150, v: 0, a: 150, b: 151, maxSteps: 1 << 20, walks: 1, seed: 8}, g.N()).shard(0, 1)
+	err = s.RunJobs(ctx, jobQueue([]Job{long, cancelingJob{specJob: short, stop: stop}}))
 	if !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("lone job: err = %v, want ErrCanceled", err)
+		t.Fatalf("lone walk: err = %v, want ErrCanceled", err)
 	}
-	want, _ := sequential(s, lone.spec)
-	if len(lone.got) != 2 || lone.got[0] != want[0] || lone.got[1] != (walkOutcome{}) {
-		t.Errorf("lone job reported %+v, want its first walk %+v and one empty walk", lone.got, want[0])
+	if short.ran != 1 || short.overs != 1 || short.bad != "" {
+		t.Errorf("short job: %d walks reported, over %d times (%s); want 1, 1", short.ran, short.overs, short.bad)
+	}
+	if got := long.run.got[0]; long.ran != 1 || got.steps != 1 || got.absorbed || long.overs != 0 {
+		t.Errorf("lone walk reported %d times as %+v, over %d times; want once, after its one lane step, not over", long.ran, got, long.overs)
 	}
 }

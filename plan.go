@@ -50,7 +50,7 @@ const pathExact = "exact"
 // options: comparing modelled work rather than wall time keeps the plan a
 // pure function of graph, portfolio, options and seed.
 const (
-	planStepNS  = 13.5 // one walk step: an alias draw plus two reads
+	planStepNS  = 7.4  // one walk step, four walks in lockstep
 	planPushNS  = 13.0 // one push edge relaxation
 	planCGNS    = 2.7  // one CG iteration, per entry of the n+2m sweep
 	planLabelNS = 2.1  // one elimination-label entry read by a label answer
@@ -59,7 +59,8 @@ const (
 const (
 	planPilotPairs = 8  // pairs the pilot draws
 	planWalkDiv    = 10 // the walk side runs 1/planWalkDiv of the walks
-	// planSalt separates the pilot's stream from every query's stream.
+	// planSalt separates the pilot's pair draws and walk streams from every
+	// query's walk streams.
 	planSalt = 0xbb67ae8584caa73b
 )
 
@@ -86,6 +87,7 @@ func (e *BatchEngine) planAuto() error {
 		return nil // every pair touches a landmark and resolves exactly anyway
 	}
 	walkOpts := e.opts.Options
+	walkOpts.Seed = e.seed ^ planSalt // the pilot's walks key off its own salt
 	walks := walkOpts.Walks
 	if walks == 0 {
 		walks = core.DefaultBiPushWalks
@@ -118,7 +120,6 @@ func (e *BatchEngine) planAuto() error {
 				est.SetMetrics(nil) // pilot work is not serving work
 				ests[j] = est
 			}
-			ests[j].Reseed(rng.Uint64())
 			res, err := ests[j].Pair(q[0], q[1])
 			if err != nil {
 				return err

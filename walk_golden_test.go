@@ -1,11 +1,12 @@
 package landmarkrd
 
 // Bit-level goldens for every absorbed-walk consumer on unweighted graphs.
-// The walk kernel may be restructured freely, but on an unweighted graph
-// each step must draw from the RNG exactly as before and every visit count
-// must convert to the same float64, so these values are frozen: AbWalk and
-// BiPush pairs, AdaptivePairs, and the DiagMC index diagonal, each on three
-// unweighted corpus graphs. The K=3 portfolio columns of every diagonal
+// The walk kernel and its scheduling may be restructured freely, but each
+// walk must draw from its own stream (keyed by seed, pair or vertex, side
+// and walk index) exactly as before and every visit count must convert to
+// the same float64, so these values are frozen: AbWalk and BiPush pairs,
+// AdaptivePairs, and the DiagMC index diagonal, each on three unweighted
+// corpus graphs. The K=3 portfolio columns of every diagonal
 // mode are frozen alongside: the router reads them, so a column builder
 // that drifts would move every routed answer. So are a single-landmark
 // DiagSketch column and the rows of the public BuildSketch, which share
@@ -27,32 +28,32 @@ import (
 // diagonal's bits, a portfolio's landmarks and the digest of its columns, or
 // a sketch's row count and the digest of its serialized rows.
 var walkGoldens = map[string]string{
-	"ba_200_4/abwalk":               "3fd187d9c54a6921/133011 3fe13645a1cac083/115325 3fe07f62b6ae7d56/132075",
-	"ba_200_4/bipush":               "3fd0b09b9af4d2ed/31641 3fe1954783280ea2/31038 3fe05bf2558d0ec4/31800",
-	"ba_200_4/AdaptivePairs":        "3fd12287f5b6b841/14308 3fe0e8241c5f6f8f/24164 3fe0cc1d73ed817c/38595",
-	"ba_200_4/DiagMC":               "ab6a59ecde1b1456",
+	"ba_200_4/abwalk":               "3fd1497858b76123/133214 3fe14dd2f1a9fbe7/117581 3fe0a786c226809d/129938",
+	"ba_200_4/bipush":               "3fd1fb42dfb17b90/32788 3fe1627944b68799/32549 3fe025243004e7e4/31536",
+	"ba_200_4/AdaptivePairs":        "3fd118305c296a7b/14134 3fe0ff2920bc035b/18238 3fe0ce9a0ce9a0a4/46689",
+	"ba_200_4/DiagMC":               "521964a022d86b3c",
 	"ba_200_4/DiagSketch":           "cf1d2d726f63ac2f",
 	"ba_200_4/BuildSketch":          "170/97dadbffe673d1a1",
 	"ba_200_4/portfolio-exact-cg":   "[3 1 0]/abb7f7523120650b",
-	"ba_200_4/portfolio-mc":         "[3 1 0]/50e29f169a92eecc",
+	"ba_200_4/portfolio-mc":         "[3 1 0]/a15052716129e045",
 	"ba_200_4/portfolio-sketch":     "[3 1 0]/a48697346d8db0eb",
-	"cycle_48/abwalk":               "400d420c49ba5e36/374500 40264e147ae147ae/2070286 4023d6a7ef9db22c/1810516",
-	"cycle_48/bipush":               "400d4c2f2f8a63a3/281956 4024dffc93f9956e/438103 4024ef7ca8e5298e/419638",
-	"cycle_48/AdaptivePairs":        "401160b60b60b60b/9386 4026736b6ea08c95/694768 4025aed12ed12ed1/444744",
-	"cycle_48/DiagMC":               "8c8f6ed962b801c1",
+	"cycle_48/abwalk":               "400d7a5e353f7ced/403844 40256126e978d4fd/2082014 40244083126e978e/1770352",
+	"cycle_48/bipush":               "400d9eea5c969944/269887 4025ad410fca7040/425675 40237d38a3290e68/395208",
+	"cycle_48/AdaptivePairs":        "400ba2e8ba2e8ba3/10294 40258ebaebaebaec/521690 402461729ef39e8d/589469",
+	"cycle_48/DiagMC":               "ddd2b21656cc4cd0",
 	"cycle_48/DiagSketch":           "7b9128b5a1135024",
 	"cycle_48/BuildSketch":          "124/23507939a38aab86",
 	"cycle_48/portfolio-exact-cg":   "[0 25 37]/c59d57846e36206c",
-	"cycle_48/portfolio-mc":         "[0 25 37]/2da26e03492961de",
+	"cycle_48/portfolio-mc":         "[0 25 37]/5925082539721ee0",
 	"cycle_48/portfolio-sketch":     "[0 25 37]/b94f70d368b72785",
-	"grid_14x14/abwalk":             "400e28f5c28f5c29/2238736 3ff928f5c28f5c26/3680784 400282d0e560418b/3331108",
-	"grid_14x14/bipush":             "400da24a7efe26fb/685145 3ff87512e0c6d491/900526 400146d3fdbca4ae/860317",
-	"grid_14x14/AdaptivePairs":      "400d665f215dda28/683814 3ffe6d9601cbe6d9/555969 4003141c4365a39d/549064",
-	"grid_14x14/DiagMC":             "5d0e1d1657dab1e4",
+	"grid_14x14/abwalk":             "400ccf87d9c54a69/2349418 3ffa5f3b645a1ca8/3681752 40023126e978d4fe/3404178",
+	"grid_14x14/bipush":             "400cac8d0cdb504a/691473 3ff923275ba81c42/895649 4000ebb12cd7446d/839563",
+	"grid_14x14/AdaptivePairs":      "40095d600e4bf37d/430926 3ff80214d0214d02/888408 4000427c98ddf8ae/530048",
+	"grid_14x14/DiagMC":             "451e5b7cc895186a",
 	"grid_14x14/DiagSketch":         "7d634210f31c0988",
 	"grid_14x14/BuildSketch":        "169/6d306c33f71a4750",
 	"grid_14x14/portfolio-exact-cg": "[4 178 153]/6cc91ebaf4477618",
-	"grid_14x14/portfolio-mc":       "[4 178 153]/e03423e179ac6190",
+	"grid_14x14/portfolio-mc":       "[4 178 153]/2120066cefa4f7b6",
 	"grid_14x14/portfolio-sketch":   "[4 178 153]/616932852e19d5e1",
 }
 
@@ -182,10 +183,10 @@ func TestWalkConsumersUnweightedGoldens(t *testing.T) {
 // graph, where every step draws through the alias table: live replicas
 // serve weighted graphs after their first re-base.
 var weightedWalkGoldens = map[string]string{
-	"ba_120_2_weighted/abwalk":             "3fec71758e219654/58977 3ff2999999999999/46628 3fe504189374bc6a/51460",
-	"ba_120_2_weighted/bipush":             "3fecc0f81983d60d/14242 3ff29490b9af7201/13828 3fe56c737077399d/13513",
-	"ba_120_2_weighted/AdaptivePairs":      "3fec3aef6ca97076/16039 3ff3040b8ebc6365/10971 3fe46e61a525c8ce/4776",
-	"ba_120_2_weighted/DiagMC":             "57b1c711fc730a3c",
+	"ba_120_2_weighted/abwalk":             "3fec10cb295e9e1b/58457 3ff2d2f1a9fbe76c/46399 3fe59af72015d868/52328",
+	"ba_120_2_weighted/bipush":             "3fec1a1dad2bb904/13294 3ff2c2a7d3a76acc/13317 3fe548afdee58eac/13465",
+	"ba_120_2_weighted/AdaptivePairs":      "3fec237c32b16d43/23656 3ff2d593bfa2608c/3935 3fe5e60bcc17982d/6069",
+	"ba_120_2_weighted/DiagMC":             "e025b98314d86e9c",
 	"ba_120_2_weighted/portfolio-exact-cg": "[3 111 51]/b0773d617c5c983d",
 	"ba_120_2_weighted/portfolio-sketch":   "[3 111 51]/59718ce1595ff793",
 }
